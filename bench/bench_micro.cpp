@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +39,7 @@
 #include "graph/generators.hpp"
 #include "graph/ssg.hpp"
 #include "rng/coin_oracle.hpp"
+#include "rng/splitmix64.hpp"
 #include "support/resource.hpp"
 
 namespace ssmis {
@@ -370,9 +372,11 @@ void append_graph_build_rows(std::vector<EngineBenchRow>& rows) {
 
 // Compressed-adjacency codec rows: full-sweep decode throughput (streaming
 // RowStream decode of every row, endpoints/sec) plus the storage density in
-// bytes/edge against the plain CSR equivalent. The decode rate bounds the
-// per-round cost penalty of running a process on compressed storage; the
-// density is the RSS lever that makes 10^8 vertices fit.
+// bytes/edge against the plain CSR equivalent, and random-seek throughput
+// (for_each_neighbor over every row in a seeded random order, endpoints/sec)
+// — what an engine round pays per changed vertex: an index lookup plus up
+// to kSuperblock - 1 row skips before the row itself decodes. The density
+// is the RSS lever that makes 10^8 vertices fit.
 void append_compressed_codec_rows(std::vector<EngineBenchRow>& rows) {
   for (Vertex n : {1 << 18, 1 << 20}) {
     const double p = 8.0 / static_cast<double>(n);
@@ -407,6 +411,24 @@ void append_compressed_codec_rows(std::vector<EngineBenchRow>& rows) {
     // No peak_rss_mb here: the process high-water mark is monotone and by
     // this point reflects the earlier graph_build rows, not the codec.
     rows.push_back(row);
+
+    std::vector<Vertex> order(static_cast<std::size_t>(n));
+    std::iota(order.begin(), order.end(), 0);
+    SplitMix64 rng(11);
+    for (std::size_t i = order.size(); i > 1; --i)
+      std::swap(order[i - 1], order[rng.next() % i]);
+    const auto seek_start = Clock::now();
+    for (int s = 0; s < sweeps; ++s)
+      for (const Vertex u : order)
+        c.for_each_neighbor(u, [&](Vertex v) { checksum += v; });
+    const double seek_ns = elapsed_ns(seek_start);
+    sink = checksum;
+
+    EngineBenchRow seek = row;
+    seek.process = "compressed_seek";
+    seek.endpoints_per_sec =
+        static_cast<double>(2 * c.num_edges()) * sweeps * 1e9 / seek_ns;
+    rows.push_back(seek);
   }
 }
 
@@ -564,7 +586,8 @@ void write_engine_json(const std::string& path) {
          "graph-substrate rows (graph_build edges/sec + peak RSS for the "
          "streaming CSR builder and the .ssg save/mmap round-trip), and "
          "compressed-adjacency rows (compressed_codec: full-sweep decode "
-         "endpoints/sec and on-disk bytes/edge of the varint/delta codec)\",\n";
+         "and random-order seek endpoints/sec and on-disk bytes/edge of the "
+         "varint/delta codec)\",\n";
   out << "  \"unit\": \"ns_per_round\",\n";
   out << "  \"host_threads\": " << std::max(1u, std::thread::hardware_concurrency()) << ",\n";
   // Rows whose thread width exceeds host_threads measured oversubscription

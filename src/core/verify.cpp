@@ -1,5 +1,6 @@
 #include "core/verify.hpp"
 
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,40 +13,62 @@ void check_size(const Graph& g, const std::vector<char>& in_set) {
     throw std::invalid_argument("verify: membership vector size != num_vertices");
 }
 
+// One sequential Graph::RowStream pass over the rows of 0..n-1: rows that
+// `wanted(u)` rejects are skipped undecoded, the rest go to `visit(u, row)`,
+// which returns false to end the pass. Every full-graph verifier below is
+// one such pass — O(total payload) on compressed storage, where n separate
+// for_each_neighbor seeks would each pay an index lookup plus row skips.
+template <typename Wanted, typename Visit>
+void sweep_rows(const Graph& g, Wanted&& wanted, Visit&& visit) {
+  NeighborScratch scratch;
+  Graph::RowStream rows(g);
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    if (!wanted(u)) {
+      rows.skip();
+      continue;
+    }
+    if (!visit(u, rows.next(scratch))) return;
+  }
+}
+
+// First neighbor v > u of `row` (u's sorted row) with flags[v] == want, or -1.
+Vertex first_above(Vertex u, std::span<const Vertex> row,
+                   const std::vector<char>& flags, bool want) {
+  for (const Vertex v : row)
+    if (v > u && (flags[static_cast<std::size_t>(v)] != 0) == want) return v;
+  return -1;
+}
+
+bool has_member(std::span<const Vertex> row, const std::vector<char>& in_set) {
+  for (const Vertex v : row)
+    if (in_set[static_cast<std::size_t>(v)]) return true;
+  return false;
+}
+
 }  // namespace
 
 bool is_independent_set(const Graph& g, const std::vector<char>& in_set) {
   check_size(g, in_set);
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (!in_set[static_cast<std::size_t>(u)]) continue;
-    bool ok = true;
-    g.for_each_neighbor(u, [&](Vertex v) {
-      if (v > u && in_set[static_cast<std::size_t>(v)]) {
-        ok = false;
-        return false;
-      }
-      return true;
-    });
-    if (!ok) return false;
-  }
-  return true;
+  bool ok = true;
+  sweep_rows(
+      g, [&](Vertex u) { return in_set[static_cast<std::size_t>(u)] != 0; },
+      [&](Vertex u, std::span<const Vertex> row) {
+        ok = first_above(u, row, in_set, true) < 0;
+        return ok;
+      });
+  return ok;
 }
 
 bool is_maximal(const Graph& g, const std::vector<char>& in_set) {
   check_size(g, in_set);
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (in_set[static_cast<std::size_t>(u)]) continue;
-    bool has_member_neighbor = false;
-    g.for_each_neighbor(u, [&](Vertex v) {
-      if (in_set[static_cast<std::size_t>(v)]) {
-        has_member_neighbor = true;
-        return false;
-      }
-      return true;
-    });
-    if (!has_member_neighbor) return false;
-  }
-  return true;
+  bool ok = true;
+  sweep_rows(
+      g, [&](Vertex u) { return in_set[static_cast<std::size_t>(u)] == 0; },
+      [&](Vertex, std::span<const Vertex> row) {
+        ok = has_member(row, in_set);
+        return ok;
+      });
+  return ok;
 }
 
 bool is_mis(const Graph& g, const std::vector<char>& in_set) {
@@ -77,38 +100,32 @@ bool is_mis(const Graph& g, const std::vector<Vertex>& members) {
 std::optional<std::string> find_mis_violation(const Graph& g,
                                               const std::vector<char>& in_set) {
   check_size(g, in_set);
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (!in_set[static_cast<std::size_t>(u)]) continue;
-    std::optional<std::string> violation;
-    g.for_each_neighbor(u, [&](Vertex v) {
-      if (v > u && in_set[static_cast<std::size_t>(v)]) {
+  // One pass checks both properties. Independence violations take priority
+  // wherever they sit, so the pass runs on after the first uncovered
+  // non-member (skipping further non-member rows) and reports that vertex
+  // only if no independence violation turns up.
+  std::optional<std::string> violation;
+  Vertex uncovered = -1;
+  sweep_rows(
+      g,
+      [&](Vertex u) { return in_set[static_cast<std::size_t>(u)] || uncovered < 0; },
+      [&](Vertex u, std::span<const Vertex> row) {
+        if (!in_set[static_cast<std::size_t>(u)]) {
+          if (!has_member(row, in_set)) uncovered = u;
+          return true;
+        }
+        const Vertex v = first_above(u, row, in_set, true);
+        if (v < 0) return true;
         std::ostringstream oss;
         oss << "independence violated: members " << u << " and " << v
             << " are adjacent";
         violation = oss.str();
         return false;
-      }
-      return true;
-    });
-    if (violation) return violation;
-  }
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (in_set[static_cast<std::size_t>(u)]) continue;
-    bool has_member_neighbor = false;
-    g.for_each_neighbor(u, [&](Vertex v) {
-      if (in_set[static_cast<std::size_t>(v)]) {
-        has_member_neighbor = true;
-        return false;
-      }
-      return true;
-    });
-    if (!has_member_neighbor) {
-      std::ostringstream oss;
-      oss << "maximality violated: vertex " << u << " has no member neighbor";
-      return oss.str();
-    }
-  }
-  return std::nullopt;
+      });
+  if (violation || uncovered < 0) return violation;
+  std::ostringstream oss;
+  oss << "maximality violated: vertex " << uncovered << " has no member neighbor";
+  return oss.str();
 }
 
 void verify_mis_output(const Graph& g, const std::vector<Vertex>& claimed) {
@@ -154,50 +171,48 @@ std::optional<std::string> find_matching_violation(
       used[static_cast<std::size_t>(x)] = 1;
     }
   }
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (used[static_cast<std::size_t>(u)]) continue;
-    std::optional<std::string> violation;
-    g.for_each_neighbor(u, [&](Vertex v) {
-      if (v > u && !used[static_cast<std::size_t>(v)]) {
+  std::optional<std::string> violation;
+  sweep_rows(
+      g, [&](Vertex u) { return used[static_cast<std::size_t>(u)] == 0; },
+      [&](Vertex u, std::span<const Vertex> row) {
+        const Vertex v = first_above(u, row, used, false);
+        if (v < 0) return true;
         std::ostringstream oss;
         oss << "maximality violated: edge {" << u << ", " << v
             << "} has both endpoints unmatched";
         violation = oss.str();
         return false;
-      }
-      return true;
-    });
-    if (violation) return violation;
-  }
-  return std::nullopt;
+      });
+  return violation;
 }
 
 std::vector<Edge> greedy_maximal_matching(const Graph& g) {
   std::vector<char> used(static_cast<std::size_t>(g.num_vertices()), 0);
   std::vector<Edge> edges;
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (used[static_cast<std::size_t>(u)]) continue;
-    g.for_each_neighbor(u, [&](Vertex v) {
-      if (v > u && !used[static_cast<std::size_t>(v)]) {
-        used[static_cast<std::size_t>(u)] = 1;
-        used[static_cast<std::size_t>(v)] = 1;
-        edges.emplace_back(u, v);
-        return false;
-      }
-      return true;
-    });
-  }
+  sweep_rows(
+      g, [&](Vertex u) { return used[static_cast<std::size_t>(u)] == 0; },
+      [&](Vertex u, std::span<const Vertex> row) {
+        const Vertex v = first_above(u, row, used, false);
+        if (v >= 0) {
+          used[static_cast<std::size_t>(u)] = 1;
+          used[static_cast<std::size_t>(v)] = 1;
+          edges.emplace_back(u, v);
+        }
+        return true;
+      });
   return edges;
 }
 
 std::vector<Vertex> greedy_mis(const Graph& g) {
   std::vector<char> blocked(static_cast<std::size_t>(g.num_vertices()), 0);
   std::vector<Vertex> mis;
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (blocked[static_cast<std::size_t>(u)]) continue;
-    mis.push_back(u);
-    g.for_each_neighbor(u, [&](Vertex v) { blocked[static_cast<std::size_t>(v)] = 1; });
-  }
+  sweep_rows(
+      g, [&](Vertex u) { return blocked[static_cast<std::size_t>(u)] == 0; },
+      [&](Vertex u, std::span<const Vertex> row) {
+        mis.push_back(u);
+        for (const Vertex v : row) blocked[static_cast<std::size_t>(v)] = 1;
+        return true;
+      });
   return mis;
 }
 

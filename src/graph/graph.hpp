@@ -13,7 +13,8 @@
 //                region such as an mmap'd `.ssg` v1 file (`mmap_ssg`);
 //   compressed   varint/delta row codec (src/graph/varint.hpp): per-row
 //                delta-coded neighbor gaps plus a sampled offset index
-//                (one u64 per 64 rows) — the 10^8-vertex format, heap-owned
+//                (one u64 per 8 rows, ~1 B/vertex, so a row seek skips
+//                at most 7 rows) — the 10^8-vertex format, heap-owned
 //                (`Graph::compress`, the CsrBuilder compress sink) or
 //                mmap'd from an `.ssg` v2 file.
 //

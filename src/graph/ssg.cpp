@@ -116,7 +116,8 @@ std::size_t validate_compressed_header(const std::string& path, const SsgHeader&
                    " (v2 requires the compressed-payload flag alone)");
   if (h.superblock != static_cast<std::uint64_t>(cadj::kSuperblock))
     fail(path, "unsupported superblock " + std::to_string(h.superblock) +
-                   " (this reader implements " + std::to_string(cadj::kSuperblock) + ")");
+                   " (this reader implements " + std::to_string(cadj::kSuperblock) +
+                   "; regenerate or re-save the graph with this build)");
   const std::size_t entries = cadj::index_entries(h.n);
   const std::int64_t payload_bytes =
       file_bytes - static_cast<std::int64_t>(kSsgHeaderBytes) -

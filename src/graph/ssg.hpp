@@ -35,8 +35,10 @@
 //                           (must be exactly 0x1 in v2)
 //       48  8 (u64)         payload_bytes (size of the row payload section)
 //       56  8 (u64)         superblock (rows per index sample; must equal
-//                           cadj::kSuperblock — a codec-parameter change
-//                           bumps the version or rejects here)
+//                           cadj::kSuperblock = 8, ~1 B/vertex of index —
+//                           a codec-parameter change bumps the version or
+//                           rejects here: v2 files written with the former
+//                           64-row index are rejected and must be re-saved)
 //       64  8*E             index[] (u64), E = ceil(n/superblock) + 1
 //    64+8E  payload_bytes   row payload (varint/delta rows, byte-packed)
 //

@@ -134,11 +134,11 @@ TEST(CompressedCodec, RawAccessorsThrowAcrossStorageModes) {
   const Graph g = gen::path(10);
   const Graph c = Graph::compress(g);
   NeighborScratch scratch;
-  EXPECT_THROW(c.neighbors(3), std::logic_error);
-  EXPECT_THROW(c.offsets(), std::logic_error);
-  EXPECT_THROW(c.adjacency(), std::logic_error);
-  EXPECT_THROW(g.compressed_index(), std::logic_error);
-  EXPECT_THROW(g.compressed_payload(), std::logic_error);
+  EXPECT_THROW(static_cast<void>(c.neighbors(3)), std::logic_error);
+  EXPECT_THROW(static_cast<void>(c.offsets()), std::logic_error);
+  EXPECT_THROW(static_cast<void>(c.adjacency()), std::logic_error);
+  EXPECT_THROW(static_cast<void>(g.compressed_index()), std::logic_error);
+  EXPECT_THROW(static_cast<void>(g.compressed_payload()), std::logic_error);
   // The decode-aware paths work on both.
   EXPECT_EQ(c.neighbors(3, scratch).size(), 2u);
   EXPECT_EQ(g.neighbors(3, scratch).size(), 2u);
@@ -325,6 +325,17 @@ class SsgV2Test : public ::testing::Test {
     std::memcpy(b.data() + 32, &h, 8);
   }
 
+  // A cadj::index_entries(n)-entry index for a hand-built payload: 0 first,
+  // `interior` for every sampled row in between, the payload size last.
+  static std::vector<std::uint64_t> crafted_index(std::int64_t n,
+                                                  std::uint64_t interior,
+                                                  std::size_t payload_bytes) {
+    std::vector<std::uint64_t> index(cadj::index_entries(n), interior);
+    index.front() = 0;
+    index.back() = payload_bytes;
+    return index;
+  }
+
   // Hand-builds a v2 file from raw codec arrays (for payloads the encoder
   // refuses to produce), with a self-consistent checksum.
   std::string craft_v2(const std::string& name, std::int64_t n,
@@ -440,13 +451,17 @@ TEST_F(SsgV2Test, BadFlagThrowsEvenWhenChecksummed) {
 }
 
 TEST_F(SsgV2Test, UnsupportedSuperblockThrows) {
-  const std::string p = save_reference("s.ssg");
-  auto bytes = read_all(p);
-  const std::uint64_t other = 32;  // a codec-parameter change, not corruption
-  std::memcpy(bytes.data() + 56, &other, 8);
-  refresh_v2_checksum(bytes);
-  write_all(p, bytes);
-  expect_rejected(p, /*trusted_too=*/true);
+  // A codec-parameter change, not corruption: 32 is arbitrary, 64 is what
+  // writers before the 8-row index recorded — such files must be re-saved.
+  for (const std::uint64_t other : {std::uint64_t{32}, std::uint64_t{64}}) {
+    ASSERT_NE(other, static_cast<std::uint64_t>(cadj::kSuperblock));
+    const std::string p = save_reference("s.ssg");
+    auto bytes = read_all(p);
+    std::memcpy(bytes.data() + 56, &other, 8);
+    refresh_v2_checksum(bytes);
+    write_all(p, bytes);
+    expect_rejected(p, /*trusted_too=*/true);
+  }
 }
 
 TEST_F(SsgV2Test, UnsupportedVersionThrows) {
@@ -600,7 +615,8 @@ TEST_F(SsgV2Test, StructurallyInvalidButChecksummedPayloadThrows) {
   EXPECT_THROW(io::mmap_ssg(asym), std::runtime_error);
 
   // Degree exceeding the remaining payload ("row shorter than degree").
-  const std::string hungry = craft_v2("hg.ssg", 100, 0, {0, 1, 1}, {0x63});
+  const std::string hungry =
+      craft_v2("hg.ssg", 100, 0, crafted_index(100, 1, 1), {0x63});
   EXPECT_THROW(io::load_ssg(hungry), std::runtime_error);
   EXPECT_THROW(io::mmap_ssg(hungry), std::runtime_error);
 
@@ -632,13 +648,14 @@ TEST_F(SsgV2Test, TrustedDecodeOfGarbageThrowsInsteadOfReadingOutOfBounds) {
   int idx = 0;
   for (const auto& [what, payload] : cases) {
     const std::string p = craft_v2("tg" + std::to_string(idx++) + ".ssg", 100,
-                                   0, {0, 0, static_cast<std::uint64_t>(payload.size())},
+                                   0, crafted_index(100, 0, payload.size()),
                                    payload);
     const Graph g = io::mmap_ssg(p, io::SsgValidation::kTrusted);
     NeighborScratch scratch;
     bool threw = false;
     try {
-      for (Vertex u = 0; u < g.num_vertices(); ++u) g.neighbors(u, scratch);
+      for (Vertex u = 0; u < g.num_vertices(); ++u)
+        static_cast<void>(g.neighbors(u, scratch));
     } catch (const std::runtime_error&) {
       threw = true;
     }
