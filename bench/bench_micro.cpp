@@ -30,7 +30,6 @@
 #include "core/process.hpp"
 #include "harness/experiment.hpp"
 #include "harness/registry.hpp"
-#include "core/runner.hpp"
 #include "core/three_color.hpp"
 #include "core/three_state.hpp"
 #include "core/two_state.hpp"
@@ -63,10 +62,11 @@ const Graph& clique_graph() {
 void BM_TwoStateStepSparse(benchmark::State& state) {
   const Graph& g = sparse_graph();
   const CoinOracle coins(1);
-  TwoStateMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
+  EngineProcess<TwoStateRule> p(
+      g, make_init2(g, InitPattern::kUniformRandom, coins), TwoStateRule(coins));
   for (auto _ : state) {
     p.step();
-    benchmark::DoNotOptimize(p.num_active());
+    benchmark::DoNotOptimize(p.engine().num_active());
   }
   state.SetItemsProcessed(state.iterations() * g.num_vertices());
 }
@@ -75,10 +75,11 @@ BENCHMARK(BM_TwoStateStepSparse);
 void BM_TwoStateStepDense(benchmark::State& state) {
   const Graph& g = dense_graph();
   const CoinOracle coins(1);
-  TwoStateMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
+  EngineProcess<TwoStateRule> p(
+      g, make_init2(g, InitPattern::kUniformRandom, coins), TwoStateRule(coins));
   for (auto _ : state) {
     p.step();
-    benchmark::DoNotOptimize(p.num_active());
+    benchmark::DoNotOptimize(p.engine().num_active());
   }
   state.SetItemsProcessed(state.iterations() * g.num_vertices());
 }
@@ -87,10 +88,11 @@ BENCHMARK(BM_TwoStateStepDense);
 void BM_ThreeStateStepDense(benchmark::State& state) {
   const Graph& g = dense_graph();
   const CoinOracle coins(1);
-  ThreeStateMIS p(g, make_init3(g, InitPattern::kUniformRandom, coins), coins);
+  EngineProcess<ThreeStateRule> p(
+      g, make_init3(g, InitPattern::kUniformRandom, coins), ThreeStateRule(coins));
   for (auto _ : state) {
     p.step();
-    benchmark::DoNotOptimize(p.num_black());
+    benchmark::DoNotOptimize(p.snapshot().black);
   }
   state.SetItemsProcessed(state.iterations() * g.num_vertices());
 }
@@ -99,11 +101,12 @@ BENCHMARK(BM_ThreeStateStepDense);
 void BM_ThreeColorStepDense(benchmark::State& state) {
   const Graph& g = dense_graph();
   const CoinOracle coins(1);
-  auto p = ThreeColorMIS::with_randomized_switch(
-      g, make_init_g(g, InitPattern::kUniformRandom, coins), coins);
+  EngineProcess<ThreeColorRule> p(
+      g, make_init_g(g, InitPattern::kUniformRandom, coins),
+      ThreeColorRule::with_randomized_switch(g, coins));
   for (auto _ : state) {
     p.step();
-    benchmark::DoNotOptimize(p.num_black());
+    benchmark::DoNotOptimize(p.snapshot().black);
   }
   state.SetItemsProcessed(state.iterations() * g.num_vertices());
 }
@@ -115,11 +118,12 @@ void BM_TwoStateStabilizedTracedStep(benchmark::State& state) {
   const Graph g = gen::gnp(static_cast<Vertex>(state.range(0)),
                            8.0 / static_cast<double>(state.range(0)), 7);
   const CoinOracle coins(1);
-  TwoStateMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
-  run_until_stabilized(p, 1000000);
+  EngineProcess<TwoStateRule> p(
+      g, make_init2(g, InitPattern::kUniformRandom, coins), TwoStateRule(coins));
+  p.run(1000000, TraceMode::kNone);
   for (auto _ : state) {
     p.step();
-    benchmark::DoNotOptimize(snapshot(p));
+    benchmark::DoNotOptimize(p.snapshot());
   }
 }
 BENCHMARK(BM_TwoStateStabilizedTracedStep)->Arg(16384)->Arg(65536);
@@ -129,7 +133,8 @@ void BM_FullRunClique(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     const CoinOracle coins(seed++);
-    TwoStateMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
+    EngineProcess<TwoStateRule> p(
+        g, make_init2(g, InitPattern::kUniformRandom, coins), TwoStateRule(coins));
     while (!p.stabilized()) p.step();
     benchmark::DoNotOptimize(p.round());
   }
@@ -210,13 +215,13 @@ double elapsed_ns(Clock::time_point start) {
           .count());
 }
 
-// Times run_until_stabilized from a uniform-random start.
+// Times Process::run from a uniform-random start.
 template <typename MakeProcess>
 EngineBenchRow full_run_row(const std::string& process, const std::string& gname,
                             const Graph& g, MakeProcess make, TraceMode mode) {
   auto p = make();
   const auto start = Clock::now();
-  const RunResult r = run_until_stabilized(p, 200000, mode);
+  const RunResult r = p.run(200000, mode);
   const double ns = elapsed_ns(start);
   EngineBenchRow row;
   row.process = process;
@@ -236,12 +241,12 @@ template <typename MakeProcess>
 EngineBenchRow stabilized_row(const std::string& process, const std::string& gname,
                               const Graph& g, MakeProcess make, std::int64_t reps) {
   auto p = make();
-  run_until_stabilized(p, 1000000);
+  p.run(1000000, TraceMode::kNone);
   std::int64_t checksum = 0;
   const auto start = Clock::now();
   for (std::int64_t i = 0; i < reps; ++i) {
     p.step();
-    const RoundStats s = snapshot(p);
+    const RoundStats s = p.snapshot();
     checksum += s.black + s.active;
   }
   benchmark::DoNotOptimize(checksum);  // keep the timed loop observable
@@ -276,10 +281,11 @@ void append_sharded_rows(std::vector<EngineBenchRow>& rows) {
   const std::string gname = "gnp_n16384_p0.002";
   for (int threads : {1, 2, 4, 8}) {
     const CoinOracle coins(1);
-    TwoStateMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
+    EngineProcess<TwoStateRule> p(
+        g, make_init2(g, InitPattern::kUniformRandom, coins), TwoStateRule(coins));
     p.set_shards(threads);
     const auto start = Clock::now();
-    const RunResult r = run_until_stabilized(p, 200000);
+    const RunResult r = p.run(200000, TraceMode::kNone);
     const double ns = elapsed_ns(start);
     EngineBenchRow row;
     row.process = "two_state";
@@ -438,30 +444,30 @@ void append_process_rows(std::vector<EngineBenchRow>& rows, const std::string& g
   for (TraceMode mode : {TraceMode::kNone, TraceMode::kPerRound}) {
     rows.push_back(full_run_row("two_state", gname, g,
                                 [&] {
-                                  return TwoStateMIS(
+                                  return EngineProcess<TwoStateRule>(
                                       g, make_init2(g, InitPattern::kUniformRandom, coins),
-                                      coins);
+                                      TwoStateRule(coins));
                                 },
                                 mode));
     rows.push_back(full_run_row("two_state_variant", gname, g,
                                 [&] {
-                                  return TwoStateVariant(
+                                  return EngineProcess<TwoStateVariantRule>(
                                       g, make_init2(g, InitPattern::kUniformRandom, coins),
-                                      coins, 0.5, false);
+                                      TwoStateVariantRule(coins, 0.5, false));
                                 },
                                 mode));
     rows.push_back(full_run_row("three_state", gname, g,
                                 [&] {
-                                  return ThreeStateMIS(
+                                  return EngineProcess<ThreeStateRule>(
                                       g, make_init3(g, InitPattern::kUniformRandom, coins),
-                                      coins);
+                                      ThreeStateRule(coins));
                                 },
                                 mode));
     rows.push_back(full_run_row("three_color", gname, g,
                                 [&] {
-                                  return ThreeColorMIS::with_randomized_switch(
+                                  return EngineProcess<ThreeColorRule>(
                                       g, make_init_g(g, InitPattern::kUniformRandom, coins),
-                                      coins);
+                                      ThreeColorRule::with_randomized_switch(g, coins));
                                 },
                                 mode));
   }
@@ -545,15 +551,16 @@ void write_engine_json(const std::string& path) {
     rows.push_back(stabilized_row(
         "two_state", gname, g,
         [&] {
-          return TwoStateMIS(g, make_init2(g, InitPattern::kUniformRandom, coins),
-                             coins);
+          return EngineProcess<TwoStateRule>(
+              g, make_init2(g, InitPattern::kUniformRandom, coins), TwoStateRule(coins));
         },
         4000));
     rows.push_back(stabilized_row(
         "three_state", gname, g,
         [&] {
-          return ThreeStateMIS(g, make_init3(g, InitPattern::kUniformRandom, coins),
-                               coins);
+          return EngineProcess<ThreeStateRule>(
+              g, make_init3(g, InitPattern::kUniformRandom, coins),
+              ThreeStateRule(coins));
         },
         200));
   }

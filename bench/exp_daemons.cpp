@@ -42,16 +42,13 @@ DaemonResult run_daemon(const Graph& g, MakeDaemon make, int trials,
   const auto outcomes =
       ctx.trial_batch(trials).map<TrialOutcome>([&](int trial) {
         const CoinOracle coins(seed + static_cast<std::uint64_t>(trial));
-        DaemonMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins),
-                    make(trial), coins);
+        DaemonProcess p(g, make_init2(g, InitPattern::kUniformRandom, coins),
+                        make(trial), coins);
         p.set_shards(ctx.shards());
         TrialOutcome out;
-        const std::int64_t max_steps = 5000000;
-        while (!p.stabilized() && out.steps < max_steps) {
-          out.activations += p.step();
-          ++out.steps;
-        }
-        out.ok = p.stabilized() && is_mis(g, p.black_set());
+        out.steps = p.run(5000000, TraceMode::kNone).rounds;
+        out.activations = p.activations();
+        out.ok = p.stabilized() && is_mis(g, p.output_set());
         return out;
       });
   DaemonResult out;

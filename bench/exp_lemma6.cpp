@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
     const Graph g = ctx.cell_graph([&] { return gen::complete(k + 1); });
     const auto rounds = static_cast<std::int64_t>(std::ceil(std::log2(k + 1.0)));
     const auto hit = ctx.trial_batch(trials).map<char>([&](int trial) -> char {
-      TwoStateMIS p(g,
-                    std::vector<Color2>(static_cast<std::size_t>(k) + 1, Color2::kBlack),
-                    CoinOracle(ctx.seed + static_cast<std::uint64_t>(trial)));
+      ProcessEngine<TwoStateRule> p(
+          g, std::vector<Color2>(static_cast<std::size_t>(k) + 1, Color2::kBlack),
+          TwoStateRule(CoinOracle(ctx.seed + static_cast<std::uint64_t>(trial))));
       for (std::int64_t r = 0; r < rounds; ++r) p.step();
       return p.stable_black(0) ? 1 : 0;
     });
@@ -61,8 +61,9 @@ int main(int argc, char** argv) {
     const Graph g = ctx.cell_graph([&] { return gen::complete(l); });
     const auto rounds = static_cast<std::int64_t>(std::ceil(std::log2(k + 1.0)));
     const auto hit = ctx.trial_batch(trials).map<char>([&](int trial) -> char {
-      TwoStateMIS p(g, std::vector<Color2>(static_cast<std::size_t>(l), Color2::kBlack),
-                    CoinOracle(ctx.seed + 777 + static_cast<std::uint64_t>(trial)));
+      ProcessEngine<TwoStateRule> p(
+          g, std::vector<Color2>(static_cast<std::size_t>(l), Color2::kBlack),
+          TwoStateRule(CoinOracle(ctx.seed + 777 + static_cast<std::uint64_t>(trial))));
       for (std::int64_t r = 0; r < rounds; ++r) p.step();
       return p.num_stable_black() > 0 ? 1 : 0;
     });

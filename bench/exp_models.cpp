@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
 
     {
       const auto init = make_init2(g, InitPattern::kUniformRandom, coins);
-      TwoStateMIS direct(g, init, coins);
+      ProcessEngine<TwoStateRule> direct(g, init, TwoStateRule(coins));
       const TwoStateBeepAutomaton automaton;
       std::vector<std::uint8_t> s(init.size());
       for (std::size_t i = 0; i < init.size(); ++i)
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     }
     {
       const auto init = make_init3(g, InitPattern::kUniformRandom, coins);
-      ThreeStateMIS direct(g, init, coins);
+      ProcessEngine<ThreeStateRule> direct(g, init, ThreeStateRule(coins));
       const ThreeStateStoneAgeAutomaton automaton;
       std::vector<std::uint8_t> s(init.size());
       for (std::size_t i = 0; i < init.size(); ++i)
@@ -88,8 +88,10 @@ int main(int argc, char** argv) {
     }
     {
       const auto init = make_init_g(g, InitPattern::kUniformRandom, coins);
-      auto direct = ThreeColorMIS::with_randomized_switch(g, init, coins);
-      const auto* sw = dynamic_cast<const RandomizedLogSwitch*>(&direct.switch_process());
+      ProcessEngine<ThreeColorRule> direct(
+          g, init, ThreeColorRule::with_randomized_switch(g, coins));
+      const auto* sw =
+          dynamic_cast<const RandomizedLogSwitch*>(&direct.rule().switch_process());
       const ThreeColorStoneAgeAutomaton automaton;
       std::vector<std::uint8_t> s(init.size());
       for (Vertex u = 0; u < g.num_vertices(); ++u)

@@ -1,5 +1,6 @@
 // Scale driver for the large-graph substrate: streaming CSR construction,
-// `.ssg` save / mmap reload, and a TwoStateMIS run to stabilization — with
+// `.ssg` save / mmap reload, and a registry protocol run to stabilization
+// (2state unless --protocol says otherwise) — with
 // construction throughput (edges/sec), wall times, and peak-RSS accounting
 // at every stage. This is the receipt for ROADMAP's "tens of millions of
 // vertices" item: the whole pipeline at n = 10^7 fits CI-class memory
@@ -29,8 +30,7 @@
 
 #include "bench_common.hpp"
 #include "core/init.hpp"
-#include "core/runner.hpp"
-#include "core/two_state.hpp"
+#include "core/process.hpp"
 #include "graph/generators.hpp"
 #include "graph/ssg.hpp"
 #include "support/resource.hpp"

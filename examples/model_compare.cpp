@@ -1,21 +1,25 @@
 // Side-by-side comparison of all MIS algorithms in the library on a graph
-// chosen from the command line — a tour of the public API.
+// chosen from the command line — a tour of the public API: every registered
+// protocol (the paper's processes, their variants, the daemon and matching
+// processes, the beeping and stone-age networks) through the one Process
+// interface, then the non-self-stabilizing baselines. Exits nonzero if any
+// run does not stabilize or its output fails its validity check (MIS, or
+// maximal matching for `matching`).
 //
 //   ./model_compare [--graph=gnp|clique|tree|grid|geometric] [--n=256]
 //                   [--p=0.05] [--seed=9]
 #include <cmath>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 
 #include "core/init.hpp"
 #include "core/luby.hpp"
-#include "core/runner.hpp"
+#include "core/process.hpp"
 #include "core/sequential.hpp"
-#include "core/three_color.hpp"
-#include "core/three_state.hpp"
-#include "core/two_state.hpp"
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
+#include "harness/registry.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
@@ -43,52 +47,47 @@ int main(int argc, char** argv) {
   std::cout << "graph: " << g.summary() << "\n\n";
   const CoinOracle coins(seed + 1);
 
-  TextTable table({"algorithm", "states/node", "self-stabilizing", "rounds/moves",
-                   "MIS size", "valid"});
+  TextTable table({"algorithm", "self-stabilizing", "rounds/moves", "output size",
+                   "valid"});
+  bool all_ok = true;
+  auto add = [&](const std::string& name, const std::string& self_stab,
+                 const std::string& rounds, std::size_t size, bool valid) {
+    table.add_row({name, self_stab, rounds, std::to_string(size),
+                   valid ? "yes" : "NO"});
+    all_ok = all_ok && valid;
+  };
 
-  {
-    TwoStateMIS proc(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
-    const RunResult r = run_until_stabilized(proc, 1000000);
-    table.add_row({"2-state process (beeping)", "2", "yes", std::to_string(r.rounds),
-                   std::to_string(proc.black_set().size()),
-                   is_mis(g, proc.black_set()) ? "yes" : "NO"});
-  }
-  {
-    ThreeStateMIS proc(g, make_init3(g, InitPattern::kUniformRandom, coins), coins);
-    const RunResult r = run_until_stabilized(proc, 1000000);
-    table.add_row({"3-state process (stone age)", "3", "yes", std::to_string(r.rounds),
-                   std::to_string(proc.black_set().size()),
-                   is_mis(g, proc.black_set()) ? "yes" : "NO"});
-  }
-  {
-    auto proc = ThreeColorMIS::with_randomized_switch(
-        g, make_init_g(g, InitPattern::kUniformRandom, coins), coins);
-    const RunResult r = run_until_stabilized(proc, 2000000);
-    table.add_row({"3-color process (Thm 3)", "18", "yes", std::to_string(r.rounds),
-                   std::to_string(proc.black_set().size()),
-                   is_mis(g, proc.black_set()) ? "yes" : "NO"});
+  const ProtocolRegistry& registry = ProtocolRegistry::instance();
+  for (const std::string& name : registry.names()) {
+    const auto proc = registry.make(name, g, ProtocolParams(), seed + 1);
+    const RunResult r = proc->run(2000000, TraceMode::kNone);
+    bool valid = r.stabilized;
+    try {
+      if (valid) proc->verify_output();
+    } catch (const std::logic_error&) {
+      valid = false;
+    }
+    add(name, "yes", r.stabilized ? std::to_string(r.rounds) : "timeout",
+        proc->output_set().size(), valid);
   }
   {
     LubyMIS luby(g, coins);
     const auto rounds = luby.run(100000);
-    table.add_row({"Luby 1986 (baseline)", "O(log n)", "no", std::to_string(rounds),
-                   std::to_string(luby.mis_set().size()),
-                   is_mis(g, luby.mis_set()) ? "yes" : "NO"});
+    add("Luby 1986 (baseline)", "no", std::to_string(rounds), luby.mis_set().size(),
+        is_mis(g, luby.mis_set()));
   }
   {
     SequentialMIS seq(g, make_init2(g, InitPattern::kUniformRandom, coins));
     RandomScheduler sched(seed + 2);
     const auto result = seq.run(sched, 4 * g.num_vertices() + 8);
-    table.add_row({"sequential daemon (SRR95)", "2", "yes",
-                   std::to_string(result.total_moves) + " moves",
-                   std::to_string(seq.black_set().size()),
-                   is_mis(g, seq.black_set()) ? "yes" : "NO"});
+    add("sequential daemon (SRR95)", "yes",
+        std::to_string(result.total_moves) + " moves", seq.black_set().size(),
+        is_mis(g, seq.black_set()));
   }
   {
     const auto mis = greedy_mis(g);
-    table.add_row({"greedy (centralized ref)", "-", "-", "-", std::to_string(mis.size()),
-                   is_mis(g, mis) ? "yes" : "NO"});
+    add("greedy (centralized ref)", "-", "-", mis.size(), is_mis(g, mis));
   }
   table.print(std::cout);
-  return 0;
+  return all_ok ? 0 : 1;
 }

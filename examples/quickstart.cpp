@@ -5,7 +5,7 @@
 #include <iostream>
 
 #include "core/init.hpp"
-#include "core/runner.hpp"
+#include "core/process.hpp"
 #include "core/two_state.hpp"
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
@@ -23,23 +23,25 @@ int main(int argc, char** argv) {
   const Graph g = gen::gnp(n, p, seed);
   std::cout << "graph: " << g.summary() << "\n";
 
-  // 2. The 2-state MIS process. Initial states are ARBITRARY — that is the
-  //    point of self-stabilization; here we start from uniformly random
-  //    colors drawn from the same deterministic coin oracle.
+  // 2. The 2-state MIS process: the Definition 4 rule run by the engine.
+  //    Initial states are ARBITRARY — that is the point of
+  //    self-stabilization; here we start from uniformly random colors drawn
+  //    from the same deterministic coin oracle.
   const CoinOracle coins(seed);
-  TwoStateMIS process(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
+  EngineProcess<TwoStateRule> process(
+      g, make_init2(g, InitPattern::kUniformRandom, coins), TwoStateRule(coins));
 
   // 3. Run synchronous rounds until the black set is an MIS.
-  const RunResult result = run_until_stabilized(process, /*max_rounds=*/100000,
-                                                TraceMode::kPerRound);
+  const RunResult result = process.run(/*max_rounds=*/100000, TraceMode::kPerRound);
   std::cout << "stabilized: " << (result.stabilized ? "yes" : "NO") << " after "
             << result.rounds << " rounds\n";
 
   // 4. Inspect the result.
-  const auto mis = process.black_set();
+  const auto mis = process.output_set();
+  const bool valid = is_mis(g, mis);
   std::cout << "MIS size: " << mis.size() << " (greedy reference: "
             << greedy_mis(g).size() << ")\n";
-  std::cout << "valid MIS: " << (is_mis(g, mis) ? "yes" : "NO") << "\n";
+  std::cout << "valid MIS: " << (valid ? "yes" : "NO") << "\n";
 
   // 5. The per-round trace shows the paper's progress measure |V_t|
   //    (vertices not yet stable) shrinking to zero.
@@ -50,5 +52,5 @@ int main(int argc, char** argv) {
                 << s.stable_black << "\t" << s.unstable << "\n";
     }
   }
-  return result.stabilized ? 0 : 1;
+  return result.stabilized && valid ? 0 : 1;
 }

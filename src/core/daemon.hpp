@@ -7,21 +7,19 @@
 // and the observation the paper cites is that with *randomized* transitions
 // the process stabilizes with probability 1 under every such daemon.
 //
-// DaemonMIS runs the 2-state rule under a pluggable ActivationDaemon:
+// DaemonProcess runs the 2-state rule under a pluggable ActivationDaemon:
 //   * SynchronousDaemon   — all enabled vertices (the paper's process;
-//                           bit-identical to TwoStateMIS given the oracle)
+//                           bit-identical to 2state given the oracle)
 //   * CentralDaemon       — a single enabled vertex per step
 //   * RandomSubsetDaemon  — each enabled vertex independently w.p. rho
 //                           (rho -> 1 recovers synchronous behavior)
-//   * AdversarialPairDaemon — always activates a maximal set of *conflicting
-//                           sibling pairs* (both endpoints of black-black
-//                           edges together), the schedule that maximizes
-//                           coordinated re-collisions.
+// No adversarial daemon exists yet: one that chooses its subset against the
+// current configuration is still to be written.
 //
-// DaemonMIS drives the same ProcessEngine<TwoStateRule> as the synchronous
-// process, through the engine's subset-transition primitive: the enabled set
-// IS the engine's scheduled worklist, so enabled-set queries are O(|enabled|)
-// rather than O(n) scans.
+// DaemonProcess drives the same ProcessEngine<TwoStateRule> as the
+// synchronous process, through the engine's subset-transition primitive:
+// the enabled set IS the engine's scheduled worklist, so enabled-set
+// queries are O(|enabled|) rather than O(n) scans.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +30,7 @@
 
 #include "core/color.hpp"
 #include "core/engine.hpp"
+#include "core/process.hpp"
 #include "core/two_state.hpp"
 #include "graph/graph.hpp"
 #include "rng/coin_oracle.hpp"
@@ -84,55 +83,50 @@ class RandomSubsetDaemon final : public ActivationDaemon {
   CoinOracle coins_;
 };
 
-// Activates both endpoints of every black-black edge simultaneously (so
-// conflicting pairs re-roll together, the coordination that livelocks the
-// deterministic rule), plus every other enabled vertex.
-class AdversarialPairDaemon final : public ActivationDaemon {
- public:
-  std::vector<Vertex> activate(std::span<const Vertex> enabled, std::int64_t) override {
-    return {enabled.begin(), enabled.end()};  // = synchronous for 2-state
-  }
-  std::string name() const override { return "adversarial-pairs"; }
-};
-
-// The 2-state rule under an activation daemon. Enabled = active in the
-// Definition 4 sense; an activated vertex resamples its color with the
-// oracle coin phi_step(u) — exactly TwoStateMIS's coin stream, so the
-// SynchronousDaemon run is bit-identical to the synchronous process.
-class DaemonMIS {
+// The 2-state rule under an activation daemon, as a Process. Enabled =
+// active in the Definition 4 sense; an activated vertex resamples its color
+// with the oracle coin phi_step(u) — exactly the 2-state coin stream, so the
+// SynchronousDaemon run is bit-identical to the synchronous process. One
+// daemon STEP is the unit round() counts (a central step activates one
+// vertex, a synchronous step up to n — steps are not comparable across
+// daemons, but the horizon semantics are uniform). The MIS aggregates,
+// output, and faults are the 2-state ones.
+class DaemonProcess final : public Process {
  public:
   using Engine = ProcessEngine<TwoStateRule>;
 
-  DaemonMIS(const Graph& g, std::vector<Color2> init,
-            std::unique_ptr<ActivationDaemon> daemon, const CoinOracle& coins);
+  // Throws std::invalid_argument on a null daemon or init size mismatch.
+  DaemonProcess(const Graph& g, std::vector<Color2> init,
+                std::unique_ptr<ActivationDaemon> daemon, const CoinOracle& coins);
 
-  // One daemon step (activates one chosen subset). Returns the number of
-  // vertices activated.
-  Vertex step();
-  std::int64_t steps() const { return steps_; }
+  const Graph& graph() const override { return engine_.graph(); }
+  // One daemon step: activates the daemon's chosen subset of the enabled
+  // vertices (all of them if it chooses none). A no-op step once stabilized.
+  void step() override;
+  std::int64_t round() const override { return steps_; }
+  bool stabilized() const override { return engine_.stabilized(); }
+  RoundStats snapshot() const override { return mis_snapshot(engine_, steps_); }
 
-  const Graph& graph() const { return engine_.graph(); }
-  const std::vector<Color2>& colors() const { return engine_.colors(); }
-  bool black(Vertex u) const { return is_black(engine_.color(u)); }
-  Vertex black_neighbor_count(Vertex u) const { return engine_.counter(u, 0); }
-  bool enabled(Vertex u) const { return engine_.scheduled(u); }
-  bool stabilized() const { return engine_.stabilized(); }
-  Vertex num_enabled() const { return engine_.num_scheduled(); }
-  std::vector<Vertex> black_set() const;
-  std::vector<Vertex> enabled_set() const { return engine_.scheduled_set(); }
+  std::vector<Vertex> output_set() const override { return mis_output_set(engine_); }
+  bool settled(Vertex u) const override { return !engine_.unstable(u); }
+  void verify_output() const override { verify_mis_output(graph(), output_set()); }
 
-  // Runs until stabilized or `max_steps`; returns steps used.
-  std::int64_t run(std::int64_t max_steps);
-
-  // Fault-injection / test hook: overwrite one vertex's color in O(deg(u)),
-  // keeping the internal counters consistent. Not a daemon step.
-  void force_color(Vertex u, Color2 c) { engine_.force_color(u, c); }
+  void force_state(Vertex u, std::uint8_t raw) override {
+    engine_.force_color(u, static_cast<Color2>(raw));
+  }
+  std::uint8_t raw_state(Vertex u) const override {
+    return static_cast<std::uint8_t>(engine_.color(u));
+  }
+  int num_colors() const override { return engine_.num_colors(); }
 
   // Shards the subset-transition computation across the shared thread pool
   // (bit-identical trajectories at any value; 1 = sequential). The daemon's
   // own choice of subset stays sequential — only the chosen vertices'
   // simultaneous coin flips fan out.
-  void set_shards(int shards) { engine_.set_shards(shards); }
+  void set_shards(int shards) override { engine_.set_shards(shards); }
+
+  // Total vertex activations over all steps so far.
+  std::int64_t activations() const { return activations_; }
 
   const Engine& engine() const { return engine_; }
 
@@ -140,6 +134,7 @@ class DaemonMIS {
   Engine engine_;
   std::unique_ptr<ActivationDaemon> daemon_;
   std::int64_t steps_ = 0;
+  std::int64_t activations_ = 0;
 };
 
 }  // namespace ssmis

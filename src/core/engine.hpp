@@ -16,10 +16,11 @@
 //
 // The engine is policy-based: `ProcessEngine<Rule>` owns colors, counters,
 // the worklist, and the aggregates; the Rule supplies only the paper's
-// transition table and predicates (see `ProcessRule` below). The four direct
-// processes (2-state, 2-state variant, 3-state, 3-color), the daemon
-// adapter, and both communication-model network simulators are all thin
-// rules/wrappers over this one stepping core.
+// transition table and predicates (see `ProcessRule` below). Every MIS rule
+// (2-state, 2-state variant, priority, 3-state, 3-color) reaches the harness
+// as an EngineProcess<Rule> (core/process.hpp); the daemon and matching
+// processes and both communication-model network simulators drive the same
+// stepping core.
 //
 // Randomness: rules draw coins from the counter-based CoinOracle, where
 // every coin is a pure function of (seed, round, vertex, tag). Because no
@@ -99,7 +100,8 @@ class VertexWorklist {
 //
 // and may provide `void end_round(int64_t t)` — a hook run once per
 // synchronous round after the colors were committed (the 3-color process
-// steps its logarithmic switch there).
+// steps its logarithmic switch there) — and the RuleHasLazyRounds hooks
+// below.
 //
 // ProcessRule is decomposed into one named concept per obligation so that a
 // rule missing a member fails ProcessEngine's static_assert cascade with
@@ -166,6 +168,17 @@ concept StabilityTrackingRule =
 template <typename R>
 concept RuleHasEndRoundHook = requires(R& r, std::int64_t t) {
   r.end_round(t);
+};
+
+// Optional rule-side schedule optimization (the 3-color lazy switch):
+// begin_round(quiet) runs once per synchronous round before the decide
+// phase, with quiet = "the live worklist is empty", and the engine's
+// fast-forward toggle is forwarded to the rule. Like the engine's own
+// fast-forward, it must leave trajectories bit-identical.
+template <typename R>
+concept RuleHasLazyRounds = requires(R& r, bool b) {
+  r.begin_round(b);
+  r.set_fast_forward(b);
 };
 
 // Optional stable-periodic fast-forward extension (docs/architecture.md,
@@ -301,6 +314,7 @@ class ProcessEngine {
   // and the counter-based coins; see docs/architecture.md).
   void step() {
     const std::int64_t t = round_ + 1;
+    if constexpr (RuleHasLazyRounds<Rule>) rule_.begin_round(worklist_.empty());
     decide(worklist_.items(), t);
     // round_ advances before apply so that any vertex materialized out of
     // the periodic set during the commit lands on its orbit value for the
@@ -395,11 +409,13 @@ class ProcessEngine {
 
   // --- stable-periodic fast-forward ----------------------------------------
 
-  // Enables/disables the periodic-set optimization (FastForwardRule rules
-  // only; a no-op otherwise). On by default for eligible rules. Turning it
-  // off materializes every parked vertex, so the engine is back to plain
-  // dense-equivalent sparse stepping with identical state.
+  // Enables/disables the periodic-set optimization (FastForwardRule rules)
+  // or the rule's own lazy rounds (RuleHasLazyRounds); a no-op otherwise.
+  // On by default for eligible rules. Turning it off materializes every
+  // parked vertex, so the engine is back to plain dense-equivalent sparse
+  // stepping with identical state.
   void set_fast_forward(bool on) {
+    if constexpr (RuleHasLazyRounds<Rule>) rule_.set_fast_forward(on);
     if constexpr (kFastForward) {
       if (on == fast_forward_) return;
       fast_forward_ = on;
@@ -492,8 +508,8 @@ class ProcessEngine {
   // The raw histogram entry, without materializing parked orbits — O(1).
   // Individual entries may be stale under fast-forward, but any sum over a
   // set of colors closed under every declared orbit (e.g. black0 + black1
-  // for the 3-state family) is exact, which is what the wrappers' hot
-  // per-round accounting reads.
+  // for the 3-state family) is exact, which is what EngineProcess's hot
+  // per-round snapshot reads.
   [[nodiscard]] Vertex raw_color_count(Color c) const {
     return hist_[static_cast<std::size_t>(raw(c))];
   }
@@ -531,7 +547,7 @@ class ProcessEngine {
   }
 
   // Ascending list of the vertices satisfying `pred` (O(n) scan) — the
-  // shared backing for the wrappers' black_set()/active_set()/... queries.
+  // backing for output sets and per-predicate vertex queries.
   template <typename Pred>
   std::vector<Vertex> select(Pred pred) const {
     std::vector<Vertex> out;

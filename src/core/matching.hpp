@@ -1,4 +1,4 @@
-// MaximalMatching: a few-state self-stabilizing EDGE-symmetry-breaking
+// Maximal matching: a few-state self-stabilizing EDGE-symmetry-breaking
 // protocol — the first registry workload that is not a vertex-MIS rule,
 // cashing in the ROADMAP's "a new protocol costs one Rule type".
 //
@@ -29,11 +29,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/color.hpp"
 #include "core/engine.hpp"
 #include "core/init.hpp"
+#include "core/process.hpp"
 #include "core/two_state.hpp"
 #include "graph/graph.hpp"
 #include "rng/coin_oracle.hpp"
@@ -45,85 +47,80 @@ namespace ssmis {
 // an endpoint. O(sum_v deg(v)^2) construction.
 Graph line_graph(const Graph& g);
 
-class MaximalMatching {
+// Self-stabilizing maximal matching as a Process. The process's graph() is
+// the ORIGINAL graph; round, stabilization, and the snapshot aggregates are
+// those of the 2-state engine on L(g), so they count LINE vertices, i.e.
+// EDGES of g: black = claimed edges, active = edges that resample next
+// round, stable_black = claims with no claimed contender, unstable = edges
+// not yet covered by a stable claim. output_set() is the matched vertices.
+class MatchingProcess final : public Process {
  public:
   using Engine = ProcessEngine<TwoStateRule>;
 
   // Starts the 2-state process on L(g) from `pattern` edge states (drawn
   // over the line graph, so e.g. high-degree-black marks high-conflict
   // edges). The graph must outlive the process.
-  static MaximalMatching from_pattern(const Graph& g, InitPattern pattern,
-                                      const CoinOracle& coins);
-  // Explicit initial claims, one Color2 per edge of g (kBlack = claimed).
-  // Throws std::invalid_argument on size != g.num_edges().
-  MaximalMatching(const Graph& g, std::vector<Color2> init,
-                  const CoinOracle& coins);
+  MatchingProcess(const Graph& g, InitPattern pattern, const CoinOracle& coins);
 
-  void step() { line_process_.step(); }
-  std::int64_t round() const { return line_process_.round(); }
+  const Graph& graph() const override { return *graph_; }
+  void step() override { engine_.step(); }
+  std::int64_t round() const override { return engine_.round(); }
+  // Stabilized ⟺ the claimed edge set is an MIS of L(g) ⟺ a maximal
+  // matching of g.
+  bool stabilized() const override { return engine_.stabilized(); }
+  RoundStats snapshot() const override {
+    return mis_snapshot(engine_, engine_.round());
+  }
+  RunResult run(std::int64_t max_rounds, TraceMode mode) override {
+    return run_loop(*this, max_rounds, mode);
+  }
 
-  // The ORIGINAL graph; the line graph is an internal representation.
-  const Graph& graph() const { return *graph_; }
-  const Graph& line_graph() const { return *line_graph_; }
+  // Matched vertices, ascending.
+  std::vector<Vertex> output_set() const override;
+  // u is settled once every incident edge is covered by a stable claim
+  // (isolated vertices: immediately) — monotone, like N+(I_t) coverage.
+  bool settled(Vertex u) const override;
+  void verify_output() const override;
 
-  // Edge k of g as a (u, v) pair with u < v.
-  const std::vector<Edge>& edges() const { return edges_; }
+  // The states live on edges: force_state(u, bit) sets every incident
+  // edge's claim (the node-crash reading); raw_state(u) is whether u is
+  // matched; inject_fault corrupts ONE incident edge chosen by the random
+  // word.
+  void force_state(Vertex u, std::uint8_t raw) override;
+  std::uint8_t raw_state(Vertex u) const override { return matched(u) ? 1 : 0; }
+  int num_colors() const override { return 2; }
+  bool inject_fault(Vertex u, std::uint64_t w) override;
+
+  // Shards the line engine's decide phase (bit-identical at any value).
+  void set_shards(int shards) override { engine_.set_shards(shards); }
+
   // Ascending edge ids incident to u (a view into the internal CSR).
   std::span<const Vertex> incident_edges(Vertex u) const {
     const auto begin = incident_offsets_[static_cast<std::size_t>(u)];
     const auto end = incident_offsets_[static_cast<std::size_t>(u) + 1];
     return {incident_ids_.data() + begin, static_cast<std::size_t>(end - begin)};
   }
-
-  bool claimed(Vertex edge_id) const { return line_process_.black(edge_id); }
   bool matched(Vertex u) const;
-
   // The matching: claimed edges, ascending by edge id.
   std::vector<Edge> matching() const;
-  // Matched vertices, ascending — the uniform output_set encoding.
-  std::vector<Vertex> matched_set() const;
 
-  // Stabilized ⟺ the claimed edge set is an MIS of L(g) ⟺ a maximal
-  // matching of g.
-  bool stabilized() const { return line_process_.stabilized(); }
-
-  // Uniform trace interface — aggregates count LINE vertices, i.e. EDGES of
-  // g: black = claimed edges, active = edges that resample next round,
-  // stable_black = claims with no claimed contender, unstable = edges not
-  // yet covered by a stable claim.
-  Vertex num_black() const { return line_process_.num_black(); }
-  Vertex num_active() const { return line_process_.num_active(); }
-  Vertex num_stable_black() const { return line_process_.num_stable_black(); }
-  Vertex num_unstable() const { return line_process_.num_unstable(); }
-  Vertex num_gray() const { return 0; }
-
-  // u is settled once every incident edge is covered by a stable claim
-  // (isolated vertices: immediately) — monotone, like N+(I_t) coverage.
-  bool settled(Vertex u) const;
-
-  // Fault hook: overwrite one EDGE's claim bit, O(deg_L(edge)).
-  void force_edge(Vertex edge_id, Color2 c) {
-    line_process_.force_color(edge_id, c);
-  }
-
-  // Shards the line engine's decide phase (bit-identical at any value).
-  void set_shards(int shards) { line_process_.set_shards(shards); }
-
-  const TwoStateMIS& line_process() const { return line_process_; }
+  // The 2-state engine over L(g): edge claims are its colors; fault hook
+  // force_color(edge_id, c) overwrites one edge's claim in O(deg_L(edge)).
+  Engine& engine() { return engine_; }
+  const Engine& engine() const { return engine_; }
 
  private:
-  MaximalMatching(const Graph& g, std::vector<Edge> edges,
-                  std::unique_ptr<Graph> lg, std::vector<Color2> init,
-                  const CoinOracle& coins);
+  bool claimed(Vertex edge_id) const { return is_black(engine_.color(edge_id)); }
 
   const Graph* graph_;
   std::vector<Edge> edges_;                     // edge_id -> (u, v), u < v
   std::vector<std::int64_t> incident_offsets_;  // CSR over incident edge ids
   std::vector<Vertex> incident_ids_;
-  // Heap-allocated so the line engine's graph pointer survives moves of
-  // this wrapper (declared before, hence constructed before, the process).
+  // Heap-allocated so the engine's graph pointer survives moves (declared
+  // after edges_ and before the engine: construction reads the one and
+  // feeds the other).
   std::unique_ptr<Graph> line_graph_;
-  TwoStateMIS line_process_;
+  Engine engine_;
 };
 
 }  // namespace ssmis

@@ -14,19 +14,19 @@ PriorityMisRule::PriorityMisRule(
     const CoinOracle& coins, std::shared_ptr<const std::vector<double>> biases)
     : coins_(coins), biases_(std::move(biases)) {
   if (biases_ == nullptr)
-    throw std::invalid_argument("PriorityMIS: bias table must not be null");
+    throw std::invalid_argument("priority: bias table must not be null");
   for (double p : *biases_) {
     if (!(p > 0.0) || !(p < 1.0))
-      throw std::invalid_argument("PriorityMIS: biases must be in (0,1)");
+      throw std::invalid_argument("priority: biases must be in (0,1)");
   }
 }
 
-std::shared_ptr<const std::vector<double>> PriorityMIS::make_biases(
+std::shared_ptr<const std::vector<double>> PriorityMisRule::make_biases(
     const Graph& g, const std::string& mode, double lo, double hi,
     std::uint64_t seed) {
   if (!(lo > 0.0) || !(hi < 1.0) || !(lo <= hi))
     throw std::invalid_argument(
-        "PriorityMIS: need 0 < bias-lo <= bias-hi < 1");
+        "priority: need 0 < bias-lo <= bias-hi < 1");
   const Vertex n = g.num_vertices();
   auto biases = std::make_shared<std::vector<double>>(
       static_cast<std::size_t>(n), (lo + hi) / 2.0);
@@ -53,14 +53,10 @@ std::shared_ptr<const std::vector<double>> PriorityMIS::make_biases(
     for (Vertex u = 0; u < n; ++u)
       weight_to_bias(u, coins.uniform(0, u, CoinTag::kPriority));
   } else {
-    throw std::invalid_argument("PriorityMIS: unknown priority mode '" + mode +
+    throw std::invalid_argument("priority: unknown priority mode '" + mode +
                                 "' (valid: id, degree, random)");
   }
   return biases;
-}
-
-std::vector<Vertex> PriorityMIS::black_set() const {
-  return engine_.select([this](Vertex u) { return black(u); });
 }
 
 namespace {
@@ -74,12 +70,13 @@ const ProtocolRegistrar kPriorityProtocol{
     {"priority", "bias-lo", "bias-hi"},
     [](const Graph& g, const ProtocolParams& params, std::uint64_t seed) {
       const CoinOracle coins(seed);
-      auto biases = PriorityMIS::make_biases(
+      auto biases = PriorityMisRule::make_biases(
           g, params.get_string("priority", "id"),
           params.get_double("bias-lo", 0.25), params.get_double("bias-hi", 0.75),
           seed);
-      return std::make_unique<MisFamilyAdapter<PriorityMIS>>(PriorityMIS(
-          g, make_init2(g, params.init, coins), coins, std::move(biases)));
+      return std::make_unique<EngineProcess<PriorityMisRule>>(
+          g, make_init2(g, params.init, coins),
+          PriorityMisRule(coins, std::move(biases)));
     }};
 
 }  // namespace

@@ -1,29 +1,36 @@
 // Type-erased process runtime: ONE measurement path for every rule.
 //
-// The harness used to dispatch on a closed `ProcessKind` enum, so only the
-// three headline processes could reach `measure_stabilization` and every
-// other protocol (daemon runs, the communication-model networks, any new
-// workload) needed bespoke driver code. `Process` erases the concrete
-// wrapper type behind the interface the harness actually needs —
-// step/round/stabilized/trace snapshot/output/verify/force-state/shards —
-// so trial scheduling, timeout accounting, per-vertex times, and the CLI
-// all work for any registered protocol (harness/registry.hpp).
+// `Process` is the interface the harness actually needs —
+// step/round/stabilized/trace snapshot/output/verify/force-state/shards — so
+// trial scheduling, timeout accounting, per-vertex times, and the CLI all
+// work for any registered protocol (harness/registry.hpp).
+//
+// Every engine-backed MIS rule reaches it through one class,
+// `EngineProcess<Rule>`: the rule supplies the paper's transition table and
+// its output predicate, the engine (core/engine.hpp) the stepping and the
+// O(1) aggregates, and EngineProcess the Process surface. The remaining
+// Process implementations are the protocols whose state or schedule is not
+// one engine color per graph vertex: the daemon and matching processes and
+// the communication-model networks.
 //
 // Cost model: type erasure sits at TRIAL granularity, not step granularity.
-// A trial calls the virtual `run()` once; the adapter's override immediately
-// re-enters the templated `run_until_stabilized` loop on the concrete
-// wrapper, so the hot stepping loop is exactly the pre-refactor code with
-// zero added indirection. Drivers that interleave work between rounds
-// (per-vertex times, the interactive simulator) pay one virtual call per
-// ROUND — noise next to the O(|A_t| + sum deg(changed)) round body.
+// A trial calls the virtual `run()` once; a `final` implementation runs the
+// shared loop (Process::run_loop) on its own type, so step()/stabilized()
+// are devirtualized and the hot stepping loop has zero added indirection.
+// Drivers that interleave work between rounds (per-vertex times, the
+// interactive simulator) pay one virtual call per ROUND — noise next to the
+// O(|A_t| + sum deg(changed)) round body.
 #pragma once
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/runner.hpp"
+#include "core/color.hpp"
+#include "core/engine.hpp"
 #include "core/trace.hpp"
 #include "core/verify.hpp"
 #include "graph/graph.hpp"
@@ -46,23 +53,15 @@ class Process {
   virtual bool stabilized() const = 0;
 
   // The paper's bookkeeping aggregates for this round (B_t, A_t, I_t, V_t,
-  // Gamma_t — protocols reinterpret them as documented in their adapter).
+  // Gamma_t — protocols reinterpret them as documented in their class).
   virtual RoundStats snapshot() const = 0;
 
-  // Runs until stabilized() or `max_rounds` further rounds. The default
-  // implementation loops over the virtual step(); engine-wrapper adapters
-  // override it with the devirtualized run_until_stabilized hot loop.
+  // Runs until stabilized() or `max_rounds` further rounds. With
+  // TraceMode::kPerRound the trace includes the initial state and every
+  // round end; snapshots are O(1), so a traced round costs the same as an
+  // untraced one.
   virtual RunResult run(std::int64_t max_rounds, TraceMode mode) {
-    RunResult result;
-    if (mode == TraceMode::kPerRound) result.trace.push_back(snapshot());
-    const std::int64_t start = round();
-    while (!stabilized() && round() - start < max_rounds) {
-      step();
-      if (mode == TraceMode::kPerRound) result.trace.push_back(snapshot());
-    }
-    result.stabilized = stabilized();
-    result.rounds = round() - start;
-    return result;
+    return run_loop(*this, max_rounds, mode);
   }
 
   // The protocol's output: the claimed MIS / matched vertices / etc.,
@@ -93,7 +92,7 @@ class Process {
   virtual int num_colors() const = 0;
 
   // Corrupts u's FULL per-vertex state (auxiliary clocks included) from 64
-  // random bits — the transient-fault primitive behind the generic
+  // random bits — the transient-fault primitive behind
   // inject_faults(Process&, ...). Returns whether any state was actually
   // overwritten (a protocol may have nothing to corrupt at u, e.g. an
   // isolated vertex under edge-state protocols). Default: a uniformly
@@ -113,91 +112,129 @@ class Process {
   // change: trajectories, aggregates, and outputs are bit-identical either
   // way, which tests/test_fast_forward.cpp pins.
   virtual void set_fast_forward(bool /*on*/) {}
-};
-
-// Optional per-wrapper toggle for the stable-periodic fast-forward
-// schedule; wrappers without it silently ignore the request.
-template <typename P>
-concept ProcessHasFastForwardToggle = requires(P& p, bool on) {
-  p.set_fast_forward(on);
-};
-
-// Adapter for wrappers satisfying the MisProcess concept (the direct
-// engine-backed processes). Derived classes supply output/verify/settled/
-// force-state; stepping, snapshots, and the devirtualized run loop are
-// shared here.
-template <MisProcess P>
-class MisProcessAdapter : public Process {
- public:
-  explicit MisProcessAdapter(P process) : process_(std::move(process)) {}
-
-  const Graph& graph() const override { return process_.graph(); }
-  void step() override { process_.step(); }
-  std::int64_t round() const override { return process_.round(); }
-  bool stabilized() const override { return process_.stabilized(); }
-  RoundStats snapshot() const override { return ssmis::snapshot(process_); }
-  RunResult run(std::int64_t max_rounds, TraceMode mode) override {
-    return run_until_stabilized(process_, max_rounds, mode);
-  }
-  void set_shards(int shards) override { process_.set_shards(shards); }
-  void set_fast_forward(bool on) override {
-    if constexpr (ProcessHasFastForwardToggle<P>)
-      process_.set_fast_forward(on);
-    else
-      (void)on;
-  }
-
-  P& impl() { return process_; }
-  const P& impl() const { return process_; }
 
  protected:
-  P process_;
+  // The one stabilization loop. `self` is the most-derived type a `final`
+  // implementation passes, which devirtualizes every call in the loop.
+  template <typename Self>
+  static RunResult run_loop(Self& self, std::int64_t max_rounds, TraceMode mode) {
+    RunResult result;
+    if (mode == TraceMode::kPerRound) result.trace.push_back(self.snapshot());
+    const std::int64_t start = self.round();
+    while (!self.stabilized() && self.round() - start < max_rounds) {
+      self.step();
+      if (mode == TraceMode::kPerRound) result.trace.push_back(self.snapshot());
+    }
+    result.stabilized = self.stabilized();
+    result.rounds = self.round() - start;
+    return result;
+  }
 };
 
-// The obligations MisFamilyAdapter places on a wrapper beyond MisProcess —
-// previously a prose comment, now a named concept so a wrapper missing one
-// fails with `MisFamilyProcess` in the diagnostic instead of a template
-// error inside an override body.
-template <typename P>
-concept MisFamilyProcess =
-    MisProcess<P> &&
-    requires(P p, const P cp, Vertex u, typename P::Engine::Color c) {
-      typename P::Engine;
-      cp.colors();
-      { cp.black_set() } -> std::convertible_to<std::vector<Vertex>>;
-      p.force_color(u, c);
-      { cp.engine().unstable(u) } -> std::convertible_to<bool>;
-      { cp.engine().num_colors() } -> std::convertible_to<int>;
-    };
+// What EngineProcess needs from a rule beyond ProcessRule: the paper's MIS
+// bookkeeping, and the output predicate as the constant list of colors that
+// claim membership (`static constexpr std::array kOutputColors`; the claimed
+// set is {u : color(u) in kOutputColors}).
+template <typename R>
+concept MisRule = StabilityTrackingRule<R> && R::kTracksStability && requires {
+  { R::kOutputColors[0] } -> std::convertible_to<typename R::Color>;
+};
 
-// Shared adapter for the MIS-family wrappers: output is the black set, the
-// validity predicate is is_mis, settled(u) is membership in N+(I_t) (the
-// engine's coverage counters), and faults route through force_color.
-// Protocols with auxiliary per-vertex state (the 3-color switch) subclass
-// and override inject_fault.
-template <MisFamilyProcess P>
-class MisFamilyAdapter : public MisProcessAdapter<P> {
+// The paper's aggregates of an MIS-rule engine at `round`. Every field is
+// O(1): B_t sums the raw histogram over the output colors, exact under
+// fast-forward because declared orbits never leave the output set, so
+// tracing never forces a periodic-set sync.
+template <MisRule Rule>
+RoundStats mis_snapshot(const ProcessEngine<Rule>& e, std::int64_t round) {
+  RoundStats s;
+  s.round = round;
+  for (const auto c : Rule::kOutputColors) s.black += e.raw_color_count(c);
+  s.active = e.num_active();
+  s.stable_black = e.num_stable_black();
+  s.unstable = e.num_unstable();
+  // Gamma_t exists only in the 3-color palette.
+  if constexpr (std::same_as<typename Rule::Color, ColorG>)
+    s.gray = e.raw_color_count(ColorG::kGray);
+  return s;
+}
+
+// The vertices holding an output color, ascending.
+template <MisRule Rule>
+std::vector<Vertex> mis_output_set(const ProcessEngine<Rule>& e) {
+  const auto& colors = e.colors();
+  return e.select([&](Vertex u) {
+    return std::ranges::count(Rule::kOutputColors,
+                              colors[static_cast<std::size_t>(u)]) > 0;
+  });
+}
+
+// Optional: per-vertex state the rule owns beyond the engine color (the
+// 3-color switch level), corrupted by a transient fault from random bits.
+template <typename R>
+concept RuleHasFaultState = requires(R& r, Vertex u, std::uint64_t w) {
+  r.inject_fault(u, w);
+};
+
+// An engine-backed MIS rule as a Process. The output is the set of vertices
+// holding an output color, verified by is_mis; settled(u) is membership in
+// N+(I_t) (the engine's coverage counters); a fault rewrites the color and,
+// for rules with RuleHasFaultState, the rule's own per-vertex state.
+template <typename Rule>
+class EngineProcess final : public Process {
+  static_assert(MisRule<Rule>,
+                "EngineProcess<Rule>: Rule must track MIS stability and "
+                "declare its output colors in kOutputColors");
+
  public:
-  using Color = typename P::Engine::Color;
-  using MisProcessAdapter<P>::MisProcessAdapter;
+  using Engine = ProcessEngine<Rule>;
+  using Color = typename Engine::Color;
 
-  std::vector<Vertex> output_set() const override {
-    return this->process_.black_set();
+  // `init` must have size g.num_vertices(); the graph must outlive the
+  // process. Throws std::invalid_argument otherwise.
+  EngineProcess(const Graph& g, std::vector<Color> init, Rule rule)
+      : engine_(g, std::move(init), std::move(rule)) {}
+
+  const Graph& graph() const override { return engine_.graph(); }
+  void step() override { engine_.step(); }
+  std::int64_t round() const override { return engine_.round(); }
+  bool stabilized() const override { return engine_.stabilized(); }
+
+  RoundStats snapshot() const override {
+    return mis_snapshot(engine_, engine_.round());
   }
-  bool settled(Vertex u) const override {
-    return !this->process_.engine().unstable(u);
+
+  RunResult run(std::int64_t max_rounds, TraceMode mode) override {
+    return run_loop(*this, max_rounds, mode);
   }
-  void verify_output() const override {
-    verify_mis_output(this->graph(), this->process_.black_set());
-  }
+
+  std::vector<Vertex> output_set() const override { return mis_output_set(engine_); }
+  bool settled(Vertex u) const override { return !engine_.unstable(u); }
+  void verify_output() const override { verify_mis_output(graph(), output_set()); }
+
   void force_state(Vertex u, std::uint8_t raw) override {
-    this->process_.force_color(u, static_cast<Color>(raw));
+    engine_.force_color(u, static_cast<Color>(raw));
   }
   std::uint8_t raw_state(Vertex u) const override {
-    return static_cast<std::uint8_t>(
-        this->process_.colors()[static_cast<std::size_t>(u)]);
+    return static_cast<std::uint8_t>(engine_.color(u));
   }
-  int num_colors() const override { return this->process_.engine().num_colors(); }
+  int num_colors() const override { return engine_.num_colors(); }
+
+  bool inject_fault(Vertex u, std::uint64_t w) override {
+    Process::inject_fault(u, w);
+    if constexpr (RuleHasFaultState<Rule>) engine_.rule().inject_fault(u, w);
+    return true;
+  }
+
+  void set_shards(int shards) override { engine_.set_shards(shards); }
+  void set_fast_forward(bool on) override { engine_.set_fast_forward(on); }
+
+  // The engine: per-vertex colors, counters and predicates, the rule, and
+  // typed fault injection (force_color).
+  Engine& engine() { return engine_; }
+  const Engine& engine() const { return engine_; }
+
+ private:
+  Engine engine_;
 };
 
 }  // namespace ssmis

@@ -1,6 +1,7 @@
 #include "core/three_color.hpp"
 
 #include <memory>
+#include <stdexcept>
 
 #include "core/init.hpp"
 #include "core/process.hpp"
@@ -9,33 +10,29 @@
 
 namespace ssmis {
 
-std::vector<Vertex> ThreeColorMIS::black_set() const {
-  return engine_.select([this](Vertex u) { return black(u); });
+ThreeColorRule::ThreeColorRule(const CoinOracle& coins,
+                               std::unique_ptr<SwitchProcess> sw)
+    : coins_(coins), switch_(std::move(sw)) {
+  if (switch_ == nullptr)
+    throw std::invalid_argument("ThreeColorRule: switch must not be null");
+  if (switch_->round() != 0)
+    throw std::invalid_argument("ThreeColorRule: switch must start at round 0");
+}
+
+void ThreeColorRule::inject_fault(Vertex u, std::uint64_t w) {
+  PhaseClock* clock = nullptr;
+  if (auto* sw = dynamic_cast<RandomizedLogSwitch*>(&switch_process()))
+    clock = &sw->clock();
+  else if (auto* sw = dynamic_cast<PhaseClockSwitch*>(&switch_process()))
+    clock = &sw->clock();
+  if (clock != nullptr) {
+    clock->force_level(u, narrow_cast<int>(
+                              (w >> 8) %
+                              static_cast<std::uint64_t>(clock->num_states())));
+  }
 }
 
 namespace {
-
-// The 3-color per-vertex state includes the switch level: a transient fault
-// corrupts both (mirroring inject_faults(ThreeColorMIS&) in core/faults.cpp).
-class ThreeColorProcess final : public MisFamilyAdapter<ThreeColorMIS> {
- public:
-  using MisFamilyAdapter<ThreeColorMIS>::MisFamilyAdapter;
-
-  bool inject_fault(Vertex u, std::uint64_t w) override {
-    process_.force_color(u, static_cast<ColorG>(w % 3));
-    PhaseClock* clock = nullptr;
-    if (auto* sw = dynamic_cast<RandomizedLogSwitch*>(&process_.switch_process()))
-      clock = &sw->clock();
-    else if (auto* sw = dynamic_cast<PhaseClockSwitch*>(&process_.switch_process()))
-      clock = &sw->clock();
-    if (clock != nullptr) {
-      clock->force_level(u, narrow_cast<int>(
-                                (w >> 8) %
-                                static_cast<std::uint64_t>(clock->num_states())));
-    }
-    return true;
-  }
-};
 
 const ProtocolRegistrar kThreeColorProtocol{
     "3color",
@@ -47,17 +44,16 @@ const ProtocolRegistrar kThreeColorProtocol{
     [](const Graph& g, const ProtocolParams& params, std::uint64_t seed) {
       const CoinOracle coins(seed);
       auto init = make_init_g(g, params.init, coins);
-      std::unique_ptr<ThreeColorProcess> p;
-      if (params.has("switch-d")) {
-        const int d = static_cast<int>(params.get_int("switch-d", 3));
-        p = std::make_unique<ThreeColorProcess>(ThreeColorMIS(
-            g, std::move(init), std::make_unique<PhaseClockSwitch>(g, d, coins),
-            coins));
-      } else {
-        p = std::make_unique<ThreeColorProcess>(
-            ThreeColorMIS::with_randomized_switch(g, std::move(init), coins));
-      }
-      p->impl().set_fast_forward(params.get_bool("fast-forward", true));
+      auto rule =
+          params.has("switch-d")
+              ? ThreeColorRule(coins, std::make_unique<PhaseClockSwitch>(
+                                          g, static_cast<int>(params.get_int(
+                                                 "switch-d", 3)),
+                                          coins))
+              : ThreeColorRule::with_randomized_switch(g, coins);
+      auto p = std::make_unique<EngineProcess<ThreeColorRule>>(
+          g, std::move(init), std::move(rule));
+      p->set_fast_forward(params.get_bool("fast-forward", true));
       return p;
     }};
 

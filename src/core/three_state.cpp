@@ -8,10 +8,6 @@
 
 namespace ssmis {
 
-std::vector<Vertex> ThreeStateMIS::black_set() const {
-  return engine_.select([this](Vertex u) { return black(u); });
-}
-
 namespace {
 
 const ProtocolRegistrar kThreeStateProtocol{
@@ -23,9 +19,9 @@ const ProtocolRegistrar kThreeStateProtocol{
     {"fast-forward"},
     [](const Graph& g, const ProtocolParams& params, std::uint64_t seed) {
       const CoinOracle coins(seed);
-      auto p = std::make_unique<MisFamilyAdapter<ThreeStateMIS>>(
-          ThreeStateMIS(g, make_init3(g, params.init, coins), coins));
-      p->impl().set_fast_forward(params.get_bool("fast-forward", true));
+      auto p = std::make_unique<EngineProcess<ThreeStateRule>>(
+          g, make_init3(g, params.init, coins), ThreeStateRule(coins));
+      p->set_fast_forward(params.get_bool("fast-forward", true));
       return p;
     }};
 

@@ -1,4 +1,4 @@
-// Per-round measurement records shared by the runner and the harness.
+// Per-round measurement records shared by Process::run and the harness.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,8 @@ struct RoundStats {
   Vertex unstable = 0;
   Vertex gray = 0;
 };
+
+enum class TraceMode { kNone, kPerRound };
 
 struct RunResult {
   bool stabilized = false;

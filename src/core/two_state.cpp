@@ -8,22 +8,6 @@
 
 namespace ssmis {
 
-std::vector<Vertex> TwoStateMIS::black_set() const {
-  return engine_.select([this](Vertex u) { return black(u); });
-}
-
-std::vector<Vertex> TwoStateMIS::active_set() const {
-  return engine_.select([this](Vertex u) { return active(u); });
-}
-
-std::vector<Vertex> TwoStateMIS::stable_black_set() const {
-  return engine_.select([this](Vertex u) { return stable_black(u); });
-}
-
-std::vector<Vertex> TwoStateMIS::unstable_set() const {
-  return engine_.select([this](Vertex u) { return engine_.unstable(u); });
-}
-
 namespace {
 
 // Registry entry. The construction matches the pre-registry harness driver
@@ -36,8 +20,8 @@ const ProtocolRegistrar kTwoStateProtocol{
     {},
     [](const Graph& g, const ProtocolParams& params, std::uint64_t seed) {
       const CoinOracle coins(seed);
-      return std::make_unique<MisFamilyAdapter<TwoStateMIS>>(
-          TwoStateMIS(g, make_init2(g, params.init, coins), coins));
+      return std::make_unique<EngineProcess<TwoStateRule>>(
+          g, make_init2(g, params.init, coins), TwoStateRule(coins));
     }};
 
 }  // namespace

@@ -8,10 +8,6 @@
 
 namespace ssmis {
 
-std::vector<Vertex> TwoStateVariant::black_set() const {
-  return engine_.select([this](Vertex u) { return black(u); });
-}
-
 namespace {
 
 const ProtocolRegistrar kTwoStateVariantProtocol{
@@ -21,10 +17,10 @@ const ProtocolRegistrar kTwoStateVariantProtocol{
     {"black-bias", "eager-white"},
     [](const Graph& g, const ProtocolParams& params, std::uint64_t seed) {
       const CoinOracle coins(seed);
-      return std::make_unique<MisFamilyAdapter<TwoStateVariant>>(TwoStateVariant(
-          g, make_init2(g, params.init, coins), coins,
-          params.get_double("black-bias", 0.5),
-          params.get_bool("eager-white", false)));
+      return std::make_unique<EngineProcess<TwoStateVariantRule>>(
+          g, make_init2(g, params.init, coins),
+          TwoStateVariantRule(coins, params.get_double("black-bias", 0.5),
+                              params.get_bool("eager-white", false)));
     }};
 
 }  // namespace

@@ -19,7 +19,7 @@ ProtocolParams params_for(const MeasureConfig& config) {
 // the horizon, and check the stabilized output's validity. Thread-safe
 // across concurrent calls with distinct seeds: the graph is read-only and
 // every process owns its state. Type erasure sits here, at trial
-// granularity — run() devirtualizes into the wrapper's hot loop.
+// granularity — run() devirtualizes into the process's own hot loop.
 RunResult run_one(const Graph& g, const MeasureConfig& config, std::uint64_t seed,
                   TraceMode mode, int shards) {
   const std::unique_ptr<Process> process =

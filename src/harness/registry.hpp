@@ -2,7 +2,8 @@
 //
 // Each rule's translation unit self-registers a factory (a static
 // `ProtocolRegistrar` constructed before main), so adding a workload is ONE
-// file: the rule + its Process adapter + a registrar. The harness, the
+// file: the rule + a registrar whose factory builds EngineProcess<Rule>
+// (core/process.hpp). The harness, the
 // shared `--protocol` CLI flag, the registry test suite, and the bench
 // near-stabilized rows all enumerate `names()` — a new protocol reaches all
 // of them with zero scheduling or driver code.

@@ -9,7 +9,7 @@
 //
 // The network simulator is generic over the automaton; `mis_automata.hpp`
 // provides the 2-state MIS automaton, and the test suite proves its
-// execution bit-identical to the direct TwoStateMIS simulation.
+// execution bit-identical to the direct 2-state process.
 //
 // Simulation substrate: the network runs on the same ProcessEngine as the
 // direct processes (core/engine.hpp) — states are engine colors and the
@@ -161,13 +161,6 @@ class BeepingNetwork {
   // Shards the decide phase across the shared thread pool (bit-identical
   // executions at any value; 1 = sequential).
   void set_shards(int shards) { engine_.set_shards(shards); }
-
-  // Stable-periodic fast-forward toggle: accepted for A/B symmetry with
-  // the other networks, but a no-op here — BeepingAutomaton declares no
-  // orbits (the 2-state family's stable states are quiescent, i.e. already
-  // off the worklist), so the engine compiles the machinery away.
-  void set_fast_forward(bool on) { engine_.set_fast_forward(on); }
-  bool fast_forward_enabled() const { return engine_.fast_forward_enabled(); }
 
   // Fault-injection / test hook: overwrite one node's automaton state in
   // O(deg(u)), keeping the beep counters consistent. Not a round.

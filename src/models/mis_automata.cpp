@@ -90,11 +90,11 @@ std::uint8_t ThreeColorStoneAgeAutomaton::next(std::uint8_t state,
 
 namespace {
 
-// --- registry adapters ------------------------------------------------------
+// --- registry processes -----------------------------------------------------
 //
 // The network protocols run the MIS automata through the communication-model
 // simulators. The engine does not track MIS stability for generic automata
-// (kTracksStability is off), so the adapters read the fixed point off the
+// (kTracksStability is off), so these processes read the fixed point off the
 // engine worklist instead: a stabilized configuration leaves only benign
 // vertices scheduled, and every scheduled vertex is inspected in
 // O(|worklist|) — the same order as the round cost itself. snapshot()
@@ -102,9 +102,9 @@ namespace {
 // column; the coverage aggregates (I_t, V_t) are not tracked and read 0.
 
 // 2-state MIS as a beeping automaton (sender collision detection).
-class BeepingMisProcess final : public Process {
+class BeepingProcess final : public Process {
  public:
-  BeepingMisProcess(const Graph& g, std::vector<std::uint8_t> init,
+  BeepingProcess(const Graph& g, std::vector<std::uint8_t> init,
                     const CoinOracle& coins, bool sender_cd, double loss)
       : net_(g, automaton_, std::move(init), coins, sender_cd) {
     // Unconditional: set_loss_probability validates the range, so a bad
@@ -178,7 +178,6 @@ class BeepingMisProcess final : public Process {
   std::uint8_t raw_state(Vertex u) const override { return net_.state(u); }
   int num_colors() const override { return net_.engine().num_colors(); }
   void set_shards(int shards) override { net_.set_shards(shards); }
-  void set_fast_forward(bool on) override { net_.set_fast_forward(on); }
 
  private:
   TwoStateBeepAutomaton automaton_;  // must outlive (and precede) net_
@@ -186,9 +185,9 @@ class BeepingMisProcess final : public Process {
 };
 
 // 3-state MIS as a 2-channel stone-age automaton (no collision detection).
-class StoneAgeMisProcess final : public Process {
+class StoneAgeProcess final : public Process {
  public:
-  StoneAgeMisProcess(const Graph& g, std::vector<std::uint8_t> init,
+  StoneAgeProcess(const Graph& g, std::vector<std::uint8_t> init,
                      const CoinOracle& coins)
       : net_(g, automaton_, std::move(init), coins) {}
 
@@ -258,22 +257,18 @@ const ProtocolRegistrar kBeepingProtocol{
     "beeping",
     "the 2-state MIS automaton in the beeping model (1 bit/round; "
     "--proto-sender-cd=0 disables sender collision detection, "
-    "--proto-loss sets the carrier-sense loss rate, "
-    "--proto-fast-forward=0 disables stable-periodic fast-forward — a no-op "
-    "A/B knob here, the automaton declares no orbits); lossless runs are "
+    "--proto-loss sets the carrier-sense loss rate); lossless runs are "
     "bit-identical to 2state",
-    {"sender-cd", "loss", "fast-forward"},
+    {"sender-cd", "loss"},
     [](const Graph& g, const ProtocolParams& params, std::uint64_t seed) {
       const CoinOracle coins(seed);
       const auto c2 = make_init2(g, params.init, coins);
       std::vector<std::uint8_t> init(c2.size());
       for (std::size_t i = 0; i < c2.size(); ++i)
         init[i] = TwoStateBeepAutomaton::encode(c2[i]);
-      auto p = std::make_unique<BeepingMisProcess>(
+      return std::make_unique<BeepingProcess>(
           g, std::move(init), coins, params.get_bool("sender-cd", true),
           params.get_double("loss", 0.0));
-      p->set_fast_forward(params.get_bool("fast-forward", true));
-      return p;
     }};
 
 const ProtocolRegistrar kStoneAgeProtocol{
@@ -288,7 +283,7 @@ const ProtocolRegistrar kStoneAgeProtocol{
       std::vector<std::uint8_t> init(c3.size());
       for (std::size_t i = 0; i < c3.size(); ++i)
         init[i] = ThreeStateStoneAgeAutomaton::encode(c3[i]);
-      auto p = std::make_unique<StoneAgeMisProcess>(g, std::move(init), coins);
+      auto p = std::make_unique<StoneAgeProcess>(g, std::move(init), coins);
       p->set_fast_forward(params.get_bool("fast-forward", true));
       return p;
     }};

@@ -30,7 +30,7 @@ enum class CoinTag : std::uint32_t {
   kScheduler = 6,     // randomized sequential scheduler
   kAblation = 7,      // ablation variants (biased update coin, etc.)
   kNoise = 8,         // lossy-channel carrier-sense suppression
-  kPriority = 9,      // weight/ID-biased update coin (PriorityMIS)
+  kPriority = 9,      // weight/ID-biased update coin (priority MIS)
 };
 
 class CoinOracle {

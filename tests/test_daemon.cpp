@@ -2,39 +2,42 @@
 
 #include "core/daemon.hpp"
 #include "core/init.hpp"
+#include "core/process.hpp"
 #include "core/two_state.hpp"
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
+#include "harness/registry.hpp"
 
 namespace ssmis {
 namespace {
 
 TEST(Daemon, ConstructorValidation) {
   const Graph g = gen::path(3);
-  EXPECT_THROW(DaemonMIS(g, {Color2::kWhite}, std::make_unique<SynchronousDaemon>(),
-                         CoinOracle(1)),
+  EXPECT_THROW(DaemonProcess(g, {Color2::kWhite},
+                             std::make_unique<SynchronousDaemon>(), CoinOracle(1)),
                std::invalid_argument);
-  EXPECT_THROW(DaemonMIS(g, std::vector<Color2>(3, Color2::kWhite), nullptr,
-                         CoinOracle(1)),
+  EXPECT_THROW(DaemonProcess(g, std::vector<Color2>(3, Color2::kWhite), nullptr,
+                             CoinOracle(1)),
                std::invalid_argument);
   EXPECT_THROW(RandomSubsetDaemon(0.0, 1), std::invalid_argument);
   EXPECT_THROW(RandomSubsetDaemon(1.5, 1), std::invalid_argument);
 }
 
-TEST(Daemon, SynchronousDaemonBitIdenticalToTwoStateMIS) {
+TEST(Daemon, SynchronousDaemonBitIdenticalToTwoState) {
   // The unification check: under the all-enabled daemon with the same coin
-  // oracle, DaemonMIS IS the synchronous 2-state process.
+  // oracle, DaemonProcess IS the synchronous 2-state process.
   const std::vector<Graph> graphs = {gen::complete(16), gen::gnp(50, 0.1, 3),
                                      gen::random_tree(40, 4), gen::path(30)};
   for (const Graph& g : graphs) {
     const CoinOracle coins(7);
     const auto init = make_init2(g, InitPattern::kUniformRandom, coins);
-    TwoStateMIS direct(g, init, coins);
-    DaemonMIS daemon(g, init, std::make_unique<SynchronousDaemon>(), coins);
+    EngineProcess<TwoStateRule> direct(g, init, TwoStateRule(coins));
+    DaemonProcess daemon(g, init, std::make_unique<SynchronousDaemon>(), coins);
     for (int i = 0; i < 150; ++i) {
       direct.step();
       daemon.step();
-      ASSERT_EQ(daemon.colors(), direct.colors()) << g.summary() << " step " << i;
+      ASSERT_EQ(daemon.engine().colors(), direct.engine().colors())
+          << g.summary() << " step " << i;
     }
   }
 }
@@ -48,29 +51,29 @@ TEST(Daemon, StabilizesUnderAllDaemons) {
     daemons.push_back(std::make_unique<CentralDaemon>(17));
     daemons.push_back(std::make_unique<RandomSubsetDaemon>(0.1, 19));
     daemons.push_back(std::make_unique<RandomSubsetDaemon>(0.5, 23));
-    daemons.push_back(std::make_unique<AdversarialPairDaemon>());
     return daemons;
   };
   for (auto& daemon : make_daemons()) {
     const std::string name = daemon->name();
-    DaemonMIS p(g, make_init2(g, InitPattern::kAllBlack, coins), std::move(daemon),
-                coins);
-    const auto steps = p.run(5000000);
+    DaemonProcess p(g, make_init2(g, InitPattern::kAllBlack, coins),
+                    std::move(daemon), coins);
+    const auto steps = p.run(5000000, TraceMode::kNone).rounds;
     ASSERT_TRUE(p.stabilized()) << name << " after " << steps << " steps";
-    EXPECT_TRUE(is_mis(g, p.black_set())) << name;
+    EXPECT_TRUE(is_mis(g, p.output_set())) << name;
   }
 }
 
 TEST(Daemon, CentralDaemonActivatesOnePerStep) {
   const Graph g = gen::complete(8);
   const CoinOracle coins(29);
-  DaemonMIS p(g, std::vector<Color2>(8, Color2::kBlack),
-              std::make_unique<CentralDaemon>(31), coins);
+  DaemonProcess p(g, std::vector<Color2>(8, Color2::kBlack),
+                  std::make_unique<CentralDaemon>(31), coins);
   while (!p.stabilized()) {
-    const Vertex activated = p.step();
-    ASSERT_LE(activated, 1);
+    const std::int64_t before = p.activations();
+    p.step();
+    ASSERT_EQ(p.activations() - before, 1);
   }
-  EXPECT_TRUE(is_mis(g, p.black_set()));
+  EXPECT_TRUE(is_mis(g, p.output_set()));
 }
 
 TEST(Daemon, EmptySubsetFallsBackToAll) {
@@ -78,29 +81,46 @@ TEST(Daemon, EmptySubsetFallsBackToAll) {
   // keep the process moving rather than spinning forever.
   const Graph g = gen::gnp(30, 0.15, 37);
   const CoinOracle coins(41);
-  DaemonMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins),
-              std::make_unique<RandomSubsetDaemon>(0.01, 43), coins);
-  const auto steps = p.run(200000);
+  DaemonProcess p(g, make_init2(g, InitPattern::kUniformRandom, coins),
+                  std::make_unique<RandomSubsetDaemon>(0.01, 43), coins);
+  const auto steps = p.run(200000, TraceMode::kNone).rounds;
   EXPECT_TRUE(p.stabilized()) << steps;
 }
 
 TEST(Daemon, StabilizedStepIsNoOp) {
   const Graph g = gen::path(3);
-  DaemonMIS p(g, {Color2::kBlack, Color2::kWhite, Color2::kBlack},
-              std::make_unique<SynchronousDaemon>(), CoinOracle(1));
+  DaemonProcess p(g, {Color2::kBlack, Color2::kWhite, Color2::kBlack},
+                  std::make_unique<SynchronousDaemon>(), CoinOracle(1));
   EXPECT_TRUE(p.stabilized());
-  EXPECT_EQ(p.step(), 0);
-  EXPECT_EQ(p.colors()[0], Color2::kBlack);
+  p.step();
+  EXPECT_EQ(p.round(), 1);
+  EXPECT_EQ(p.activations(), 0);
+  EXPECT_EQ(p.engine().colors()[0], Color2::kBlack);
 }
 
 TEST(Daemon, EnabledMatchesDefinitionFourActivity) {
   const Graph g = gen::path(4);
   const std::vector<Color2> init = {Color2::kBlack, Color2::kBlack, Color2::kWhite,
                                     Color2::kWhite};
-  DaemonMIS p(g, init, std::make_unique<SynchronousDaemon>(), CoinOracle(1));
-  const TwoStateMIS reference(g, init, CoinOracle(1));
-  for (Vertex u = 0; u < 4; ++u) EXPECT_EQ(p.enabled(u), reference.active(u));
-  EXPECT_EQ(p.num_enabled(), reference.num_active());
+  DaemonProcess p(g, init, std::make_unique<SynchronousDaemon>(), CoinOracle(1));
+  const ProcessEngine<TwoStateRule> reference(g, init, TwoStateRule(CoinOracle(1)));
+  for (Vertex u = 0; u < 4; ++u)
+    EXPECT_EQ(p.engine().scheduled(u), reference.active(u));
+  EXPECT_EQ(p.engine().num_scheduled(), reference.num_active());
+}
+
+TEST(Daemon, RegistryRejectsUnknownDaemonWithValidList) {
+  const Graph g = gen::path(3);
+  ProtocolParams params;
+  params.set("daemon", "pairs");
+  try {
+    ProtocolRegistry::instance().make("daemon", g, params, 1);
+    FAIL() << "daemon=pairs was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("valid: synchronous, central, random"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Daemon, NamesAreInformative) {

@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "core/init.hpp"
+#include "core/process.hpp"
 #include "core/three_color.hpp"
 #include "core/three_state.hpp"
 #include "core/two_state.hpp"
@@ -19,6 +20,10 @@
 
 namespace ssmis {
 namespace {
+
+using TwoState = EngineProcess<TwoStateRule>;
+using ThreeState = EngineProcess<ThreeStateRule>;
+using ThreeColor = EngineProcess<ThreeColorRule>;
 
 const std::vector<NamedGraph>& suite() {
   static const std::vector<NamedGraph>* s = [] {
@@ -66,15 +71,15 @@ TEST_P(Differential, TwoStateMatchesDefinitionFour) {
   const Graph& g = graph();
   const CoinOracle coins(seed());
   std::vector<Color2> ref = make_init2(g, InitPattern::kUniformRandom, coins);
-  TwoStateMIS p(g, ref, coins);
+  TwoState p(g, ref, TwoStateRule(coins));
   for (std::int64_t t = 1; t <= kRounds; ++t) {
     p.step();
     ref = testing::reference_step2(g, ref, coins, t);
-    ASSERT_EQ(p.colors(), ref) << "round " << t;
+    ASSERT_EQ(p.engine().colors(), ref) << "round " << t;
     // Cross-check the maintained aggregates against the ground truth.
     Vertex black = 0;
     for (Color2 c : ref) black += c == Color2::kBlack;
-    ASSERT_EQ(p.num_black(), black) << "round " << t;
+    ASSERT_EQ(p.snapshot().black, black) << "round " << t;
   }
 }
 
@@ -82,11 +87,11 @@ TEST_P(Differential, ThreeStateMatchesDefinitionFive) {
   const Graph& g = graph();
   const CoinOracle coins(seed());
   std::vector<Color3> ref = make_init3(g, InitPattern::kUniformRandom, coins);
-  ThreeStateMIS p(g, ref, coins);
+  ThreeState p(g, ref, ThreeStateRule(coins));
   for (std::int64_t t = 1; t <= kRounds; ++t) {
     p.step();
     ref = testing::reference_step3(g, ref, coins, t);
-    ASSERT_EQ(p.colors(), ref) << "round " << t;
+    ASSERT_EQ(p.engine().colors(), ref) << "round " << t;
   }
 }
 
@@ -94,8 +99,9 @@ TEST_P(Differential, ThreeColorMatchesDefinitions26And28) {
   const Graph& g = graph();
   const CoinOracle coins(seed());
   std::vector<ColorG> ref = make_init_g(g, InitPattern::kUniformRandom, coins);
-  auto p = ThreeColorMIS::with_randomized_switch(g, ref, coins);
-  const auto* sw = dynamic_cast<const RandomizedLogSwitch*>(&p.switch_process());
+  ThreeColor p(g, ref, ThreeColorRule::with_randomized_switch(g, coins));
+  const auto* sw =
+      dynamic_cast<const RandomizedLogSwitch*>(&p.engine().rule().switch_process());
   ASSERT_NE(sw, nullptr);
   std::vector<int> ref_levels = sw->clock().levels();
   for (std::int64_t t = 1; t <= kRounds; ++t) {
@@ -104,11 +110,11 @@ TEST_P(Differential, ThreeColorMatchesDefinitions26And28) {
     p.step();
     ref = testing::reference_step_g(g, ref, sigma, coins, t);
     ref_levels = testing::reference_clock_step(g, ref_levels, coins, t, 3);
-    ASSERT_EQ(p.colors(), ref) << "colors diverged at round " << t;
+    ASSERT_EQ(p.engine().colors(), ref) << "colors diverged at round " << t;
     // Re-fetch through the syncing accessor: under the lazy-switch
     // fast-forward the physical clock may lag the logical round until a
     // read forces replay — which must land exactly on the reference.
-    sw = dynamic_cast<const RandomizedLogSwitch*>(&p.switch_process());
+    sw = dynamic_cast<const RandomizedLogSwitch*>(&p.engine().rule().switch_process());
     ASSERT_EQ(sw->clock().levels(), ref_levels) << "levels diverged at round " << t;
   }
 }
@@ -119,11 +125,11 @@ TEST_P(Differential, TwoStateAdversarialInitsMatch) {
   const Graph& g = graph();
   const CoinOracle coins(seed() + 1);
   std::vector<Color2> ref = make_init2(g, InitPattern::kAllBlack, coins);
-  TwoStateMIS p(g, ref, coins);
+  TwoState p(g, ref, TwoStateRule(coins));
   for (std::int64_t t = 1; t <= kRounds; ++t) {
     p.step();
     ref = testing::reference_step2(g, ref, coins, t);
-    ASSERT_EQ(p.colors(), ref) << "round " << t;
+    ASSERT_EQ(p.engine().colors(), ref) << "round " << t;
   }
 }
 

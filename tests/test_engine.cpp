@@ -130,11 +130,12 @@ TEST(EngineInvariants, TwoStateUnderSteppingAndFaults) {
   const CoinOracle fault_coins(999);
   for (const Graph& g : graphs) {
     const CoinOracle coins(11);
-    TwoStateMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
-    expect_engine_consistent(p.engine(), ctx("2-state init", g, 0));
+    ProcessEngine<TwoStateRule> p(g, make_init2(g, InitPattern::kUniformRandom, coins),
+                                  TwoStateRule(coins));
+    expect_engine_consistent(p, ctx("2-state init", g, 0));
     for (int round = 1; round <= 60; ++round) {
       p.step();
-      expect_engine_consistent(p.engine(), ctx("2-state", g, round));
+      expect_engine_consistent(p, ctx("2-state", g, round));
       // A burst of random transient faults every few rounds.
       if (round % 7 == 0) {
         for (Vertex u = 0; u < g.num_vertices(); ++u) {
@@ -143,7 +144,7 @@ TEST(EngineInvariants, TwoStateUnderSteppingAndFaults) {
                                ? Color2::kBlack
                                : Color2::kWhite);
         }
-        expect_engine_consistent(p.engine(), ctx("2-state post-fault", g, round));
+        expect_engine_consistent(p, ctx("2-state post-fault", g, round));
       }
     }
   }
@@ -155,17 +156,19 @@ TEST(EngineInvariants, ThreeStateUnderSteppingAndFaults) {
   const CoinOracle fault_coins(1000);
   for (const Graph& g : graphs) {
     const CoinOracle coins(13);
-    ThreeStateMIS p(g, make_init3(g, InitPattern::kUniformRandom, coins), coins);
+    ProcessEngine<ThreeStateRule> p(g,
+                                    make_init3(g, InitPattern::kUniformRandom, coins),
+                                    ThreeStateRule(coins));
     for (int round = 1; round <= 60; ++round) {
       p.step();
-      expect_engine_consistent(p.engine(), ctx("3-state", g, round));
+      expect_engine_consistent(p, ctx("3-state", g, round));
       if (round % 9 == 0) {
         for (Vertex u = 0; u < g.num_vertices(); ++u) {
           if (!fault_coins.bernoulli(round, u, CoinTag::kFault, 0.2)) continue;
           p.force_color(u, static_cast<Color3>(
                                fault_coins.word(round, u, CoinTag::kFault) % 3));
         }
-        expect_engine_consistent(p.engine(), ctx("3-state post-fault", g, round));
+        expect_engine_consistent(p, ctx("3-state post-fault", g, round));
       }
     }
   }
@@ -176,18 +179,19 @@ TEST(EngineInvariants, ThreeColorUnderSteppingAndFaults) {
   const CoinOracle fault_coins(1001);
   for (const Graph& g : graphs) {
     const CoinOracle coins(19);
-    auto p = ThreeColorMIS::with_randomized_switch(
-        g, make_init_g(g, InitPattern::kUniformRandom, coins), coins);
+    ProcessEngine<ThreeColorRule> p(
+        g, make_init_g(g, InitPattern::kUniformRandom, coins),
+        ThreeColorRule::with_randomized_switch(g, coins));
     for (int round = 1; round <= 60; ++round) {
       p.step();
-      expect_engine_consistent(p.engine(), ctx("3-color", g, round));
+      expect_engine_consistent(p, ctx("3-color", g, round));
       if (round % 8 == 0) {
         for (Vertex u = 0; u < g.num_vertices(); ++u) {
           if (!fault_coins.bernoulli(round, u, CoinTag::kFault, 0.2)) continue;
           p.force_color(u, static_cast<ColorG>(
                                fault_coins.word(round, u, CoinTag::kFault) % 3));
         }
-        expect_engine_consistent(p.engine(), ctx("3-color post-fault", g, round));
+        expect_engine_consistent(p, ctx("3-color post-fault", g, round));
       }
     }
   }
@@ -196,11 +200,12 @@ TEST(EngineInvariants, ThreeColorUnderSteppingAndFaults) {
 TEST(EngineInvariants, TwoStateVariantUnderStepping) {
   const Graph g = gen::gnp(50, 0.1, 23);
   const CoinOracle coins(29);
-  TwoStateVariant p(g, make_init2(g, InitPattern::kAlternating, coins), coins, 0.3,
-                    true);
+  ProcessEngine<TwoStateVariantRule> p(g,
+                                       make_init2(g, InitPattern::kAlternating, coins),
+                                       TwoStateVariantRule(coins, 0.3, true));
   for (int round = 1; round <= 80; ++round) {
     p.step();
-    expect_engine_consistent(p.engine(), ctx("variant", g, round));
+    expect_engine_consistent(p, ctx("variant", g, round));
   }
 }
 
@@ -237,7 +242,7 @@ TEST(EngineDifferential, TwoStateMatchesReferenceAcrossFaults) {
   const Graph g = gen::gnp(45, 0.12, 43);
   const CoinOracle coins(47);
   std::vector<Color2> ref = make_init2(g, InitPattern::kUniformRandom, coins);
-  TwoStateMIS p(g, ref, coins);
+  ProcessEngine<TwoStateRule> p(g, ref, TwoStateRule(coins));
   const CoinOracle fault_coins(1002);
   for (std::int64_t t = 1; t <= 120; ++t) {
     p.step();
@@ -260,7 +265,7 @@ TEST(EngineDifferential, ThreeStateMatchesReferenceAcrossFaults) {
   const Graph g = gen::gnp(45, 0.12, 53);
   const CoinOracle coins(59);
   std::vector<Color3> ref = make_init3(g, InitPattern::kUniformRandom, coins);
-  ThreeStateMIS p(g, ref, coins);
+  ProcessEngine<ThreeStateRule> p(g, ref, ThreeStateRule(coins));
   const CoinOracle fault_coins(1003);
   for (std::int64_t t = 1; t <= 120; ++t) {
     p.step();
@@ -286,7 +291,7 @@ TEST(EngineDifferential, VariantMatchesInlineReference) {
   for (const bool eager : {false, true}) {
     const double q = 0.35;
     std::vector<Color2> ref = make_init2(g, InitPattern::kUniformRandom, coins);
-    TwoStateVariant p(g, ref, coins, q, eager);
+    ProcessEngine<TwoStateVariantRule> p(g, ref, TwoStateVariantRule(coins, q, eager));
     for (std::int64_t t = 1; t <= 100; ++t) {
       std::vector<Color2> next = ref;
       for (Vertex u = 0; u < g.num_vertices(); ++u) {
@@ -315,13 +320,14 @@ TEST(EngineDifferential, VariantMatchesInlineReference) {
 TEST(Engine, ForceColorValidation) {
   const Graph g = gen::path(4);
   const CoinOracle coins(1);
-  TwoStateMIS p(g, std::vector<Color2>(4, Color2::kWhite), coins);
+  ProcessEngine<TwoStateRule> p(g, std::vector<Color2>(4, Color2::kWhite),
+                                TwoStateRule(coins));
   EXPECT_THROW(p.force_color(-1, Color2::kBlack), std::out_of_range);
   EXPECT_THROW(p.force_color(4, Color2::kBlack), std::out_of_range);
   const auto before = p.colors();
   p.force_color(2, Color2::kWhite);  // same color: no-op
   EXPECT_EQ(p.colors(), before);
-  expect_engine_consistent(p.engine(), "force_color no-op");
+  expect_engine_consistent(p, "force_color no-op");
 }
 
 // Engine-level construction validation.

@@ -7,7 +7,7 @@
 #include "core/faults.hpp"
 #include "core/init.hpp"
 #include "core/luby.hpp"
-#include "core/runner.hpp"
+#include "core/process.hpp"
 #include "core/sequential.hpp"
 #include "core/three_color.hpp"
 #include "core/two_state.hpp"
@@ -22,6 +22,8 @@
 
 namespace ssmis {
 namespace {
+
+using TwoState = EngineProcess<TwoStateRule>;
 
 TEST(Integration, Theorem8ShapeCliqueLogarithmic) {
   // 2-state on K_n: mean stabilization grows like log n — the ratio
@@ -112,11 +114,11 @@ TEST(Integration, BeepingNetworkSurvivesFaultsViaUnderlyingProcess) {
 TEST(Integration, RepeatedFaultBurstsAlwaysReconverge) {
   const Graph g = gen::gnp(100, 0.06, 47);
   const CoinOracle coins(53);
-  TwoStateMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
+  TwoState p(g, make_init2(g, InitPattern::kUniformRandom, coins), TwoStateRule(coins));
   for (int burst = 0; burst < 5; ++burst) {
-    const RunResult r = run_until_stabilized(p, 100000);
+    const RunResult r = p.run(100000, TraceMode::kNone);
     ASSERT_TRUE(r.stabilized) << "burst " << burst;
-    ASSERT_TRUE(is_mis(g, p.black_set()));
+    ASSERT_TRUE(is_mis(g, p.output_set()));
     inject_faults(p, 0.3, burst);
   }
 }
@@ -126,9 +128,9 @@ TEST(Integration, AllAlgorithmsAgreeOnValidityNotIdentity) {
   const Graph g = gen::gnp(120, 0.07, 59);
   const CoinOracle coins(61);
 
-  TwoStateMIS p2(g, make_init2(g, InitPattern::kAllWhite, coins), coins);
-  run_until_stabilized(p2, 100000);
-  ASSERT_TRUE(is_mis(g, p2.black_set()));
+  TwoState p2(g, make_init2(g, InitPattern::kAllWhite, coins), TwoStateRule(coins));
+  p2.run(100000, TraceMode::kNone);
+  ASSERT_TRUE(is_mis(g, p2.output_set()));
 
   LubyMIS luby(g, coins);
   luby.run(1000);
@@ -160,12 +162,13 @@ TEST(Integration, DisjointCliquesStabilizationIsMaxOverComponents) {
   // same per-vertex coins would (components do not interact).
   const Graph g = gen::disjoint_cliques(8, 16);
   const CoinOracle coins(67);
-  TwoStateMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
-  const RunResult r = run_until_stabilized(p, 1000000);
+  TwoState p(g, make_init2(g, InitPattern::kUniformRandom, coins), TwoStateRule(coins));
+  const RunResult r = p.run(1000000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
   const auto comp = connected_components(g);
   std::vector<int> blacks_per_comp(8, 0);
-  for (Vertex u : p.black_set()) ++blacks_per_comp[static_cast<std::size_t>(comp[static_cast<std::size_t>(u)])];
+  for (Vertex u : p.output_set())
+    ++blacks_per_comp[static_cast<std::size_t>(comp[static_cast<std::size_t>(u)])];
   for (int count : blacks_per_comp) EXPECT_EQ(count, 1);  // one per clique
 }
 

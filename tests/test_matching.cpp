@@ -1,6 +1,6 @@
-// The two post-registry workloads: MaximalMatching (2-state process on the
-// line graph) and PriorityMIS (weight/ID-biased 2-state variant), plus the
-// new maximal-matching verifier they are checked against.
+// The two post-registry workloads: MatchingProcess (2-state process on the
+// line graph) and the priority MIS rule (weight/ID-biased 2-state variant),
+// plus the maximal-matching verifier they are checked against.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,7 @@
 
 #include "core/matching.hpp"
 #include "core/priority_mis.hpp"
-#include "core/runner.hpp"
+#include "core/process.hpp"
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
 #include "harness/registry.hpp"
@@ -77,16 +77,15 @@ TEST(LineGraph, PathAndTriangleAndStar) {
   EXPECT_EQ(line_graph(gen::path(1)).num_vertices(), 0);
 }
 
-// --- MaximalMatching -------------------------------------------------------
+// --- MatchingProcess -------------------------------------------------------
 
-TEST(MaximalMatchingProcess, StabilizesToValidMatchingAcrossFamilies) {
+TEST(MatchingProcess, StabilizesToValidMatchingAcrossFamilies) {
   for (std::uint64_t seed : {3ull, 4ull}) {
     for (const Graph& g :
          {gen::gnp(100, 0.05, seed), gen::complete(20), gen::cycle(5),
           gen::random_tree(80, seed), gen::star(12)}) {
-      auto p = MaximalMatching::from_pattern(g, InitPattern::kUniformRandom,
-                                             CoinOracle(seed + 10));
-      const RunResult r = run_until_stabilized(p, 500000);
+      MatchingProcess p(g, InitPattern::kUniformRandom, CoinOracle(seed + 10));
+      const RunResult r = p.run(500000, TraceMode::kNone);
       ASSERT_TRUE(r.stabilized);
       const auto matching = p.matching();
       EXPECT_TRUE(is_maximal_matching(g, matching))
@@ -97,74 +96,75 @@ TEST(MaximalMatchingProcess, StabilizesToValidMatchingAcrossFamilies) {
         endpoints.insert(u);
         endpoints.insert(v);
       }
-      const auto matched = p.matched_set();
+      const auto matched = p.output_set();
       EXPECT_TRUE(std::equal(matched.begin(), matched.end(), endpoints.begin(),
                              endpoints.end()));
-      EXPECT_EQ(p.num_black(), static_cast<Vertex>(matching.size()));
+      EXPECT_EQ(p.snapshot().black, static_cast<Vertex>(matching.size()));
     }
   }
 }
 
-TEST(MaximalMatchingProcess, AdversarialInitsRecover) {
+TEST(MatchingProcess, AdversarialInitsRecover) {
   const Graph g = gen::gnp(60, 0.1, 7);
   for (InitPattern pattern : all_init_patterns()) {
-    auto p = MaximalMatching::from_pattern(g, pattern, CoinOracle(11));
-    const RunResult r = run_until_stabilized(p, 500000);
+    MatchingProcess p(g, pattern, CoinOracle(11));
+    const RunResult r = p.run(500000, TraceMode::kNone);
     ASSERT_TRUE(r.stabilized) << to_string(pattern);
     EXPECT_TRUE(is_maximal_matching(g, p.matching())) << to_string(pattern);
   }
 }
 
-TEST(MaximalMatchingProcess, EdgeFaultsRecover) {
+TEST(MatchingProcess, EdgeFaultsRecover) {
   const Graph g = gen::gnp(50, 0.1, 13);
-  auto p = MaximalMatching::from_pattern(g, InitPattern::kAllWhite, CoinOracle(17));
-  ASSERT_TRUE(run_until_stabilized(p, 500000).stabilized);
+  MatchingProcess p(g, InitPattern::kAllWhite, CoinOracle(17));
+  ASSERT_TRUE(p.run(500000, TraceMode::kNone).stabilized);
   // Claim every edge at vertex 0 and free every edge at vertex 1: both
   // corruptions must be repaired.
-  for (Vertex k : p.incident_edges(0)) p.force_edge(k, Color2::kBlack);
-  for (Vertex k : p.incident_edges(1)) p.force_edge(k, Color2::kWhite);
-  ASSERT_TRUE(run_until_stabilized(p, 500000).stabilized);
+  for (Vertex k : p.incident_edges(0)) p.engine().force_color(k, Color2::kBlack);
+  for (Vertex k : p.incident_edges(1)) p.engine().force_color(k, Color2::kWhite);
+  ASSERT_TRUE(p.run(500000, TraceMode::kNone).stabilized);
   EXPECT_TRUE(is_maximal_matching(g, p.matching()));
 }
 
-TEST(MaximalMatchingProcess, SizeWithinTwoApproximationBand) {
+TEST(MatchingProcess, SizeWithinTwoApproximationBand) {
   // Any maximal matching is a 2-approximation of maximum: sizes across
   // seeds stay within [greedy/2, 2*greedy].
   const Graph g = gen::gnp(200, 0.03, 19);
   const double greedy = static_cast<double>(greedy_maximal_matching(g).size());
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    auto p = MaximalMatching::from_pattern(g, InitPattern::kUniformRandom,
-                                           CoinOracle(seed));
-    ASSERT_TRUE(run_until_stabilized(p, 500000).stabilized);
+    MatchingProcess p(g, InitPattern::kUniformRandom, CoinOracle(seed));
+    ASSERT_TRUE(p.run(500000, TraceMode::kNone).stabilized);
     const double size = static_cast<double>(p.matching().size());
     EXPECT_GE(size, greedy / 2.0);
     EXPECT_LE(size, greedy * 2.0);
   }
 }
 
-// --- PriorityMIS -----------------------------------------------------------
+// --- priority MIS -----------------------------------------------------------
 
 TEST(PriorityMis, StabilizesToValidMisForAllModes) {
   const Graph g = gen::gnp(80, 0.08, 23);
   for (const char* mode : {"id", "degree", "random"}) {
     const CoinOracle coins(29);
-    PriorityMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins,
-                  PriorityMIS::make_biases(g, mode, 0.25, 0.75, 29));
-    const RunResult r = run_until_stabilized(p, 500000);
+    EngineProcess<PriorityMisRule> p(
+        g, make_init2(g, InitPattern::kUniformRandom, coins),
+        PriorityMisRule(coins,
+                        PriorityMisRule::make_biases(g, mode, 0.25, 0.75, 29)));
+    const RunResult r = p.run(500000, TraceMode::kNone);
     ASSERT_TRUE(r.stabilized) << mode;
-    EXPECT_TRUE(is_mis(g, p.black_set())) << mode;
+    EXPECT_TRUE(is_mis(g, p.output_set())) << mode;
   }
 }
 
 TEST(PriorityMis, BiasValidation) {
   const Graph g = gen::path(4);
-  EXPECT_THROW(PriorityMIS::make_biases(g, "id", 0.0, 0.5, 1),
+  EXPECT_THROW(PriorityMisRule::make_biases(g, "id", 0.0, 0.5, 1),
                std::invalid_argument);
-  EXPECT_THROW(PriorityMIS::make_biases(g, "id", 0.5, 1.0, 1),
+  EXPECT_THROW(PriorityMisRule::make_biases(g, "id", 0.5, 1.0, 1),
                std::invalid_argument);
-  EXPECT_THROW(PriorityMIS::make_biases(g, "nope", 0.2, 0.8, 1),
+  EXPECT_THROW(PriorityMisRule::make_biases(g, "nope", 0.2, 0.8, 1),
                std::invalid_argument);
-  const auto biases = PriorityMIS::make_biases(g, "id", 0.2, 0.8, 1);
+  const auto biases = PriorityMisRule::make_biases(g, "id", 0.2, 0.8, 1);
   EXPECT_DOUBLE_EQ((*biases)[0], 0.2);
   EXPECT_DOUBLE_EQ((*biases)[3], 0.8);
 }

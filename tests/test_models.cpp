@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/init.hpp"
+#include "core/process.hpp"
 #include "core/three_color.hpp"
 #include "core/three_state.hpp"
 #include "core/two_state.hpp"
@@ -12,6 +13,10 @@
 
 namespace ssmis {
 namespace {
+
+using TwoState = EngineProcess<TwoStateRule>;
+using ThreeState = EngineProcess<ThreeStateRule>;
+using ThreeColor = EngineProcess<ThreeColorRule>;
 
 std::vector<std::uint8_t> encode2(const std::vector<Color2>& colors) {
   std::vector<std::uint8_t> out(colors.size());
@@ -58,12 +63,12 @@ TEST(BeepingEquivalence, TwoStateBitIdenticalOnSuite) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       const CoinOracle coins(seed);
       const auto init = make_init2(g, InitPattern::kUniformRandom, coins);
-      TwoStateMIS direct(g, init, coins);
+      TwoState direct(g, init, TwoStateRule(coins));
       BeepingNetwork net(g, automaton, encode2(init), coins);
       for (int round = 0; round < 200; ++round) {
         direct.step();
         net.step();
-        ASSERT_EQ(net.states(), encode2(direct.colors()))
+        ASSERT_EQ(net.states(), encode2(direct.engine().colors()))
             << g.summary() << " seed " << seed << " round " << round;
       }
     }
@@ -74,7 +79,7 @@ TEST(BeepingEquivalence, ClaimedMisMatchesBlackSet) {
   const Graph g = gen::gnp(50, 0.1, 5);
   const CoinOracle coins(9);
   const auto init = make_init2(g, InitPattern::kAllBlack, coins);
-  TwoStateMIS direct(g, init, coins);
+  TwoState direct(g, init, TwoStateRule(coins));
   const TwoStateBeepAutomaton automaton;
   BeepingNetwork net(g, automaton, encode2(init), coins);
   for (int i = 0; i < 500 && !direct.stabilized(); ++i) {
@@ -82,7 +87,7 @@ TEST(BeepingEquivalence, ClaimedMisMatchesBlackSet) {
     net.step();
   }
   ASSERT_TRUE(direct.stabilized());
-  EXPECT_EQ(net.claimed_mis(), direct.black_set());
+  EXPECT_EQ(net.claimed_mis(), direct.output_set());
   EXPECT_TRUE(is_mis(g, net.claimed_mis()));
 }
 
@@ -113,12 +118,12 @@ TEST(StoneAgeEquivalence, ThreeStateBitIdenticalOnSuite) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       const CoinOracle coins(seed);
       const auto init = make_init3(g, InitPattern::kUniformRandom, coins);
-      ThreeStateMIS direct(g, init, coins);
+      ThreeState direct(g, init, ThreeStateRule(coins));
       StoneAgeNetwork net(g, automaton, encode3(init), coins);
       for (int round = 0; round < 200; ++round) {
         direct.step();
         net.step();
-        ASSERT_EQ(net.states(), encode3(direct.colors()))
+        ASSERT_EQ(net.states(), encode3(direct.engine().colors()))
             << g.summary() << " seed " << seed << " round " << round;
       }
     }
@@ -136,8 +141,9 @@ TEST(StoneAgeEquivalence, ThreeColorFullSystemBitIdentical) {
     for (std::uint64_t seed = 1; seed <= 2; ++seed) {
       const CoinOracle coins(seed);
       const auto init = make_init_g(g, InitPattern::kUniformRandom, coins);
-      auto direct = ThreeColorMIS::with_randomized_switch(g, init, coins);
-      const auto* sw = dynamic_cast<const RandomizedLogSwitch*>(&direct.switch_process());
+      ThreeColor direct(g, init, ThreeColorRule::with_randomized_switch(g, coins));
+      const auto* sw = dynamic_cast<const RandomizedLogSwitch*>(
+          &direct.engine().rule().switch_process());
       ASSERT_NE(sw, nullptr);
       std::vector<std::uint8_t> net_init(init.size());
       for (Vertex u = 0; u < g.num_vertices(); ++u) {
@@ -151,10 +157,11 @@ TEST(StoneAgeEquivalence, ThreeColorFullSystemBitIdentical) {
         // Re-fetch through the syncing accessor each round: the lazy-switch
         // fast-forward may leave the physical clock behind the logical
         // round until a read forces the (bit-identical) replay.
-        sw = dynamic_cast<const RandomizedLogSwitch*>(&direct.switch_process());
+        sw = dynamic_cast<const RandomizedLogSwitch*>(
+            &direct.engine().rule().switch_process());
         for (Vertex u = 0; u < g.num_vertices(); ++u) {
           ASSERT_EQ(ThreeColorStoneAgeAutomaton::decode_color(net.state(u)),
-                    direct.color(u))
+                    direct.engine().color(u))
               << g.summary() << " seed " << seed << " round " << round << " u " << u;
           ASSERT_EQ(ThreeColorStoneAgeAutomaton::decode_level(net.state(u)),
                     sw->clock().level(u))

@@ -19,6 +19,7 @@
 
 #include "core/daemon.hpp"
 #include "core/init.hpp"
+#include "core/process.hpp"
 #include "core/three_color.hpp"
 #include "core/three_state.hpp"
 #include "core/two_state.hpp"
@@ -59,7 +60,7 @@ void expect_sharded_identical(Make make, int rounds) {
     for (int r = 0; r < rounds; ++r) {
       seq->step();
       par->step();
-      ASSERT_EQ(seq->colors(), par->colors())
+      ASSERT_EQ(seq->engine().colors(), par->engine().colors())
           << "diverged at round " << r << " with " << shards << " shards";
     }
   }
@@ -70,8 +71,9 @@ TEST(ShardedStepping, TwoStateBitIdentical) {
   expect_sharded_identical(
       [&] {
         const CoinOracle coins(7);
-        return std::make_unique<TwoStateMIS>(
-            g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
+        return std::make_unique<EngineProcess<TwoStateRule>>(
+            g, make_init2(g, InitPattern::kUniformRandom, coins),
+            TwoStateRule(coins));
       },
       60);
 }
@@ -81,9 +83,9 @@ TEST(ShardedStepping, TwoStateVariantBitIdentical) {
   expect_sharded_identical(
       [&] {
         const CoinOracle coins(11);
-        return std::make_unique<TwoStateVariant>(
-            g, make_init2(g, InitPattern::kUniformRandom, coins), coins, 0.25,
-            true);
+        return std::make_unique<EngineProcess<TwoStateVariantRule>>(
+            g, make_init2(g, InitPattern::kUniformRandom, coins),
+            TwoStateVariantRule(coins, 0.25, true));
       },
       60);
 }
@@ -93,8 +95,9 @@ TEST(ShardedStepping, ThreeStateBitIdentical) {
   expect_sharded_identical(
       [&] {
         const CoinOracle coins(13);
-        return std::make_unique<ThreeStateMIS>(
-            g, make_init3(g, InitPattern::kUniformRandom, coins), coins);
+        return std::make_unique<EngineProcess<ThreeStateRule>>(
+            g, make_init3(g, InitPattern::kUniformRandom, coins),
+            ThreeStateRule(coins));
       },
       60);
 }
@@ -103,16 +106,17 @@ TEST(ShardedStepping, ThreeColorBitIdentical) {
   const Graph& g = test_graph();
   for (int shards : {2, env_threads()}) {
     const CoinOracle coins(17);
-    auto seq = ThreeColorMIS::with_randomized_switch(
-        g, make_init_g(g, InitPattern::kUniformRandom, coins), coins);
-    auto par = ThreeColorMIS::with_randomized_switch(
-        g, make_init_g(g, InitPattern::kUniformRandom, coins), coins);
+    const auto init = make_init_g(g, InitPattern::kUniformRandom, coins);
+    EngineProcess<ThreeColorRule> seq(
+        g, init, ThreeColorRule::with_randomized_switch(g, coins));
+    EngineProcess<ThreeColorRule> par(
+        g, init, ThreeColorRule::with_randomized_switch(g, coins));
     par.set_shards(shards);
     for (int r = 0; r < 60; ++r) {
       seq.step();
       par.step();
-      ASSERT_EQ(seq.colors(), par.colors()) << "round " << r;
-      ASSERT_EQ(seq.num_gray(), par.num_gray()) << "round " << r;
+      ASSERT_EQ(seq.engine().colors(), par.engine().colors()) << "round " << r;
+      ASSERT_EQ(seq.snapshot().gray, par.snapshot().gray) << "round " << r;
     }
   }
 }
@@ -122,16 +126,19 @@ TEST(ShardedStepping, ThreeColorBitIdentical) {
 TEST(ShardedStepping, AggregatesMatchSequential) {
   const Graph& g = test_graph();
   const CoinOracle coins(23);
-  TwoStateMIS seq(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
-  TwoStateMIS par(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
+  const auto init = make_init2(g, InitPattern::kUniformRandom, coins);
+  EngineProcess<TwoStateRule> seq(g, init, TwoStateRule(coins));
+  EngineProcess<TwoStateRule> par(g, init, TwoStateRule(coins));
   par.set_shards(env_threads());
   for (int r = 0; r < 80; ++r) {
     seq.step();
     par.step();
-    ASSERT_EQ(seq.num_black(), par.num_black());
-    ASSERT_EQ(seq.num_active(), par.num_active());
-    ASSERT_EQ(seq.num_stable_black(), par.num_stable_black());
-    ASSERT_EQ(seq.num_unstable(), par.num_unstable());
+    const RoundStats a = seq.snapshot();
+    const RoundStats b = par.snapshot();
+    ASSERT_EQ(a.black, b.black);
+    ASSERT_EQ(a.active, b.active);
+    ASSERT_EQ(a.stable_black, b.stable_black);
+    ASSERT_EQ(a.unstable, b.unstable);
     ASSERT_EQ(seq.engine().num_scheduled(), par.engine().num_scheduled());
   }
 }
@@ -140,14 +147,16 @@ TEST(ShardedStepping, DaemonSubsetTransitionsBitIdentical) {
   const Graph& g = test_graph();
   for (int shards : {2, env_threads()}) {
     const CoinOracle coins(29);
-    DaemonMIS seq(g, make_init2(g, InitPattern::kUniformRandom, coins),
-                  std::make_unique<RandomSubsetDaemon>(0.7, 31), coins);
-    DaemonMIS par(g, make_init2(g, InitPattern::kUniformRandom, coins),
-                  std::make_unique<RandomSubsetDaemon>(0.7, 31), coins);
+    DaemonProcess seq(g, make_init2(g, InitPattern::kUniformRandom, coins),
+                      std::make_unique<RandomSubsetDaemon>(0.7, 31), coins);
+    DaemonProcess par(g, make_init2(g, InitPattern::kUniformRandom, coins),
+                      std::make_unique<RandomSubsetDaemon>(0.7, 31), coins);
     par.set_shards(shards);
     for (int s = 0; s < 60 && !seq.stabilized(); ++s) {
-      ASSERT_EQ(seq.step(), par.step()) << "step " << s;
-      ASSERT_EQ(seq.colors(), par.colors()) << "step " << s;
+      seq.step();
+      par.step();
+      ASSERT_EQ(seq.activations(), par.activations()) << "step " << s;
+      ASSERT_EQ(seq.engine().colors(), par.engine().colors()) << "step " << s;
     }
   }
 }
@@ -200,8 +209,9 @@ TEST(ShardedStepping, StoneAgeNetworkBitIdentical) {
 TEST(ShardedStepping, ForceColorInterleavedBitIdentical) {
   const Graph& g = test_graph();
   const CoinOracle coins(43);
-  TwoStateMIS seq(g, make_init2(g, InitPattern::kAllWhite, coins), coins);
-  TwoStateMIS par(g, make_init2(g, InitPattern::kAllWhite, coins), coins);
+  const auto init = make_init2(g, InitPattern::kAllWhite, coins);
+  ProcessEngine<TwoStateRule> seq(g, init, TwoStateRule(coins));
+  ProcessEngine<TwoStateRule> par(g, init, TwoStateRule(coins));
   par.set_shards(env_threads());
   for (int r = 0; r < 40; ++r) {
     seq.step();

@@ -5,7 +5,7 @@
 #include <tuple>
 
 #include "core/init.hpp"
-#include "core/runner.hpp"
+#include "core/process.hpp"
 #include "core/three_color.hpp"
 #include "core/three_state.hpp"
 #include "core/two_state.hpp"
@@ -14,6 +14,10 @@
 
 namespace ssmis {
 namespace {
+
+using TwoState = EngineProcess<TwoStateRule>;
+using ThreeState = EngineProcess<ThreeStateRule>;
+using ThreeColor = EngineProcess<ThreeColorRule>;
 
 // Graphs are addressed by suite index so gtest parameter values stay cheap
 // to copy; the suites themselves are memoized.
@@ -63,27 +67,29 @@ class ProcessProperty : public ::testing::TestWithParam<Param> {
 
 TEST_P(ProcessProperty, TwoStateStabilizesToMis) {
   const CoinOracle coins(seed());
-  TwoStateMIS p(graph(), make_init2(graph(), InitPattern::kUniformRandom, coins), coins);
-  const RunResult r = run_until_stabilized(p, 300000);
+  TwoState p(graph(), make_init2(graph(), InitPattern::kUniformRandom, coins),
+             TwoStateRule(coins));
+  const RunResult r = p.run(300000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
-  EXPECT_TRUE(is_mis(graph(), p.black_set()));
+  EXPECT_TRUE(is_mis(graph(), p.output_set()));
 }
 
 TEST_P(ProcessProperty, ThreeStateStabilizesToMis) {
   const CoinOracle coins(seed());
-  ThreeStateMIS p(graph(), make_init3(graph(), InitPattern::kUniformRandom, coins), coins);
-  const RunResult r = run_until_stabilized(p, 300000);
+  ThreeState p(graph(), make_init3(graph(), InitPattern::kUniformRandom, coins),
+               ThreeStateRule(coins));
+  const RunResult r = p.run(300000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
-  EXPECT_TRUE(is_mis(graph(), p.black_set()));
+  EXPECT_TRUE(is_mis(graph(), p.output_set()));
 }
 
 TEST_P(ProcessProperty, ThreeColorStabilizesToMis) {
   const CoinOracle coins(seed());
-  auto p = ThreeColorMIS::with_randomized_switch(
-      graph(), make_init_g(graph(), InitPattern::kUniformRandom, coins), coins);
-  const RunResult r = run_until_stabilized(p, 300000);
+  ThreeColor p(graph(), make_init_g(graph(), InitPattern::kUniformRandom, coins),
+               ThreeColorRule::with_randomized_switch(graph(), coins));
+  const RunResult r = p.run(300000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
-  EXPECT_TRUE(is_mis(graph(), p.black_set()));
+  EXPECT_TRUE(is_mis(graph(), p.output_set()));
 }
 
 // -- Invariant: stability is monotone — once a vertex is stable black, it
@@ -91,19 +97,20 @@ TEST_P(ProcessProperty, ThreeColorStabilizesToMis) {
 
 TEST_P(ProcessProperty, TwoStateStabilityMonotone) {
   const CoinOracle coins(seed());
-  TwoStateMIS p(graph(), make_init2(graph(), InitPattern::kUniformRandom, coins), coins);
+  TwoState p(graph(), make_init2(graph(), InitPattern::kUniformRandom, coins),
+             TwoStateRule(coins));
   std::vector<char> ever(static_cast<std::size_t>(graph().num_vertices()), 0);
-  Vertex prev_unstable = p.num_unstable();
+  Vertex prev_unstable = p.engine().num_unstable();
   for (int i = 0; i < 100 && !p.stabilized(); ++i) {
     p.step();
     for (Vertex u = 0; u < graph().num_vertices(); ++u) {
       if (ever[static_cast<std::size_t>(u)]) {
-        ASSERT_TRUE(p.stable_black(u));
+        ASSERT_TRUE(p.engine().stable_black(u));
       }
-      if (p.stable_black(u)) ever[static_cast<std::size_t>(u)] = 1;
+      if (p.engine().stable_black(u)) ever[static_cast<std::size_t>(u)] = 1;
     }
-    ASSERT_LE(p.num_unstable(), prev_unstable);
-    prev_unstable = p.num_unstable();
+    ASSERT_LE(p.engine().num_unstable(), prev_unstable);
+    prev_unstable = p.engine().num_unstable();
   }
 }
 
@@ -118,38 +125,40 @@ TEST_P(ProcessProperty, GreedyMisIsFixedPointOfAllProcesses) {
   std::vector<Color2> c2(mask.size());
   for (std::size_t i = 0; i < mask.size(); ++i)
     c2[i] = mask[i] ? Color2::kBlack : Color2::kWhite;
-  TwoStateMIS p2(graph(), c2, coins);
+  TwoState p2(graph(), c2, TwoStateRule(coins));
   EXPECT_TRUE(p2.stabilized());
   for (int i = 0; i < 10; ++i) p2.step();
-  EXPECT_EQ(p2.black_set(), mis);
+  EXPECT_EQ(p2.output_set(), mis);
 
   std::vector<Color3> c3(mask.size());
   for (std::size_t i = 0; i < mask.size(); ++i)
     c3[i] = mask[i] ? Color3::kBlack1 : Color3::kWhite;
-  ThreeStateMIS p3(graph(), c3, coins);
+  ThreeState p3(graph(), c3, ThreeStateRule(coins));
   EXPECT_TRUE(p3.stabilized());
   for (int i = 0; i < 10; ++i) p3.step();
-  EXPECT_EQ(p3.black_set(), mis);
+  EXPECT_EQ(p3.output_set(), mis);
 
   std::vector<ColorG> cg(mask.size());
   for (std::size_t i = 0; i < mask.size(); ++i)
     cg[i] = mask[i] ? ColorG::kBlack : ColorG::kWhite;
-  auto pg = ThreeColorMIS::with_randomized_switch(graph(), cg, coins);
+  ThreeColor pg(graph(), cg, ThreeColorRule::with_randomized_switch(graph(), coins));
   EXPECT_TRUE(pg.stabilized());
   for (int i = 0; i < 10; ++i) pg.step();
-  EXPECT_EQ(pg.black_set(), mis);
+  EXPECT_EQ(pg.output_set(), mis);
 }
 
 // -- Invariant: determinism — identical seeds give identical runs.
 
 TEST_P(ProcessProperty, RunsAreReproducible) {
   const CoinOracle coins(seed());
-  TwoStateMIS a(graph(), make_init2(graph(), InitPattern::kUniformRandom, coins), coins);
-  TwoStateMIS b(graph(), make_init2(graph(), InitPattern::kUniformRandom, coins), coins);
-  const RunResult ra = run_until_stabilized(a, 300000);
-  const RunResult rb = run_until_stabilized(b, 300000);
+  TwoState a(graph(), make_init2(graph(), InitPattern::kUniformRandom, coins),
+             TwoStateRule(coins));
+  TwoState b(graph(), make_init2(graph(), InitPattern::kUniformRandom, coins),
+             TwoStateRule(coins));
+  const RunResult ra = a.run(300000, TraceMode::kNone);
+  const RunResult rb = b.run(300000, TraceMode::kNone);
   EXPECT_EQ(ra.rounds, rb.rounds);
-  EXPECT_EQ(a.colors(), b.colors());
+  EXPECT_EQ(a.engine().colors(), b.engine().colors());
 }
 
 // -- Invariant: the MIS reported by different algorithms may differ, but
@@ -157,10 +166,11 @@ TEST_P(ProcessProperty, RunsAreReproducible) {
 
 TEST_P(ProcessProperty, MisSizesWithinDominationBounds) {
   const CoinOracle coins(seed());
-  TwoStateMIS p(graph(), make_init2(graph(), InitPattern::kAllWhite, coins), coins);
-  const RunResult r = run_until_stabilized(p, 300000);
+  TwoState p(graph(), make_init2(graph(), InitPattern::kAllWhite, coins),
+             TwoStateRule(coins));
+  const RunResult r = p.run(300000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
-  const auto mis = p.black_set();
+  const auto mis = p.output_set();
   const auto reference = greedy_mis(graph());
   // Any MIS is a dominating set; sizes are within a (Delta+1) factor of any
   // other MIS (each member dominates at most Delta+1 vertices).

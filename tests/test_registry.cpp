@@ -209,8 +209,8 @@ TEST(Registry, BitIdenticalToEnumEraDrivers) {
   for (std::uint64_t seed : {1ull, 7ull}) {
     {
       const CoinOracle coins(seed);
-      TwoStateMIS direct(g, make_init2(g, InitPattern::kUniformRandom, coins),
-                         coins);
+      ProcessEngine<TwoStateRule> direct(
+          g, make_init2(g, InitPattern::kUniformRandom, coins), TwoStateRule(coins));
       const auto p = ProtocolRegistry::instance().make("2state", g, params, seed);
       for (int r = 0; r < 60; ++r) {
         for (Vertex u = 0; u < g.num_vertices(); ++u)
@@ -223,8 +223,9 @@ TEST(Registry, BitIdenticalToEnumEraDrivers) {
     }
     {
       const CoinOracle coins(seed);
-      ThreeStateMIS direct(g, make_init3(g, InitPattern::kUniformRandom, coins),
-                           coins);
+      ProcessEngine<ThreeStateRule> direct(
+          g, make_init3(g, InitPattern::kUniformRandom, coins),
+          ThreeStateRule(coins));
       const auto p = ProtocolRegistry::instance().make("3state", g, params, seed);
       for (int r = 0; r < 60; ++r) {
         for (Vertex u = 0; u < g.num_vertices(); ++u)
@@ -237,8 +238,9 @@ TEST(Registry, BitIdenticalToEnumEraDrivers) {
     }
     {
       const CoinOracle coins(seed);
-      auto direct = ThreeColorMIS::with_randomized_switch(
-          g, make_init_g(g, InitPattern::kUniformRandom, coins), coins);
+      ProcessEngine<ThreeColorRule> direct(
+          g, make_init_g(g, InitPattern::kUniformRandom, coins),
+          ThreeColorRule::with_randomized_switch(g, coins));
       const auto p = ProtocolRegistry::instance().make("3color", g, params, seed);
       for (int r = 0; r < 60; ++r) {
         for (Vertex u = 0; u < g.num_vertices(); ++u)

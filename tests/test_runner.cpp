@@ -2,6 +2,7 @@
 
 #include "core/faults.hpp"
 #include "core/init.hpp"
+#include "core/process.hpp"
 #include "core/runner.hpp"
 #include "core/three_color.hpp"
 #include "core/three_state.hpp"
@@ -13,11 +14,15 @@
 namespace ssmis {
 namespace {
 
+using TwoState = EngineProcess<TwoStateRule>;
+using ThreeState = EngineProcess<ThreeStateRule>;
+using ThreeColor = EngineProcess<ThreeColorRule>;
+
 TEST(Runner, StopsAtStabilization) {
   const Graph g = gen::complete(16);
   const CoinOracle coins(3);
-  TwoStateMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
-  const RunResult r = run_until_stabilized(p, 100000);
+  TwoState p(g, make_init2(g, InitPattern::kUniformRandom, coins), TwoStateRule(coins));
+  const RunResult r = p.run(100000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
   EXPECT_EQ(r.rounds, p.round());
   EXPECT_TRUE(p.stabilized());
@@ -26,8 +31,8 @@ TEST(Runner, StopsAtStabilization) {
 TEST(Runner, RespectsMaxRounds) {
   const Graph g = gen::complete(64);
   const CoinOracle coins(3);
-  TwoStateMIS p(g, make_init2(g, InitPattern::kAllBlack, coins), coins);
-  const RunResult r = run_until_stabilized(p, 1);
+  TwoState p(g, make_init2(g, InitPattern::kAllBlack, coins), TwoStateRule(coins));
+  const RunResult r = p.run(1, TraceMode::kNone);
   EXPECT_EQ(r.rounds, 1);
   // (A 64-clique essentially never stabilizes in one round from all-black.)
   EXPECT_FALSE(r.stabilized);
@@ -36,8 +41,8 @@ TEST(Runner, RespectsMaxRounds) {
 TEST(Runner, TraceRecordsEveryRoundPlusInitial) {
   const Graph g = gen::complete(8);
   const CoinOracle coins(5);
-  TwoStateMIS p(g, make_init2(g, InitPattern::kAllBlack, coins), coins);
-  const RunResult r = run_until_stabilized(p, 10000, TraceMode::kPerRound);
+  TwoState p(g, make_init2(g, InitPattern::kAllBlack, coins), TwoStateRule(coins));
+  const RunResult r = p.run(10000, TraceMode::kPerRound);
   ASSERT_TRUE(r.stabilized);
   ASSERT_EQ(r.trace.size(), static_cast<std::size_t>(r.rounds) + 1);
   EXPECT_EQ(r.trace.front().round, 0);
@@ -50,8 +55,8 @@ TEST(Runner, TraceRecordsEveryRoundPlusInitial) {
 TEST(Runner, TraceInvariants) {
   const Graph g = gen::gnp(40, 0.15, 7);
   const CoinOracle coins(7);
-  TwoStateMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
-  const RunResult r = run_until_stabilized(p, 10000, TraceMode::kPerRound);
+  TwoState p(g, make_init2(g, InitPattern::kUniformRandom, coins), TwoStateRule(coins));
+  const RunResult r = p.run(10000, TraceMode::kPerRound);
   ASSERT_TRUE(r.stabilized);
   for (std::size_t i = 0; i < r.trace.size(); ++i) {
     const RoundStats& s = r.trace[i];
@@ -66,9 +71,9 @@ TEST(Runner, TraceInvariants) {
 
 TEST(Runner, SnapshotReflectsProcess) {
   const Graph g = gen::path(4);
-  TwoStateMIS p(g, {Color2::kBlack, Color2::kWhite, Color2::kBlack, Color2::kWhite},
-                CoinOracle(1));
-  const RoundStats s = snapshot(p);
+  TwoState p(g, {Color2::kBlack, Color2::kWhite, Color2::kBlack, Color2::kWhite},
+             TwoStateRule(CoinOracle(1)));
+  const RoundStats s = p.snapshot();
   EXPECT_EQ(s.black, 2);
   EXPECT_EQ(s.active, 0);
   EXPECT_EQ(s.stable_black, 2);
@@ -87,53 +92,53 @@ TEST(Runner, TraceCsvFormat) {
 TEST(Faults, TwoStateRecoversFromCorruption) {
   const Graph g = gen::gnp(60, 0.1, 11);
   const CoinOracle coins(13);
-  TwoStateMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
-  RunResult r = run_until_stabilized(p, 50000);
+  TwoState p(g, make_init2(g, InitPattern::kUniformRandom, coins), TwoStateRule(coins));
+  RunResult r = p.run(50000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
   const auto report = inject_faults(p, 0.5, /*salt=*/1);
   EXPECT_GT(report.corrupted, 0);
   // Self-stabilization: it re-converges to some (possibly different) MIS.
-  r = run_until_stabilized(p, 50000);
+  r = p.run(50000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
-  EXPECT_TRUE(is_mis(g, p.black_set()));
+  EXPECT_TRUE(is_mis(g, p.output_set()));
 }
 
 TEST(Faults, ThreeStateRecovers) {
   const Graph g = gen::gnp(60, 0.1, 17);
   const CoinOracle coins(19);
-  ThreeStateMIS p(g, make_init3(g, InitPattern::kAllWhite, coins), coins);
-  RunResult r = run_until_stabilized(p, 50000);
+  ThreeState p(g, make_init3(g, InitPattern::kAllWhite, coins), ThreeStateRule(coins));
+  RunResult r = p.run(50000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
   inject_faults(p, 0.4, 2);
-  r = run_until_stabilized(p, 50000);
+  r = p.run(50000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
-  EXPECT_TRUE(is_mis(g, p.black_set()));
+  EXPECT_TRUE(is_mis(g, p.output_set()));
 }
 
 TEST(Faults, ThreeColorRecoversIncludingClockCorruption) {
   const Graph g = gen::gnp(50, 0.2, 23);
   const CoinOracle coins(29);
-  auto p = ThreeColorMIS::with_randomized_switch(
-      g, make_init_g(g, InitPattern::kUniformRandom, coins), coins);
-  RunResult r = run_until_stabilized(p, 100000);
+  ThreeColor p(g, make_init_g(g, InitPattern::kUniformRandom, coins),
+               ThreeColorRule::with_randomized_switch(g, coins));
+  RunResult r = p.run(100000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
   inject_faults(p, 0.5, 3);
-  r = run_until_stabilized(p, 100000);
+  r = p.run(100000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
-  EXPECT_TRUE(is_mis(g, p.black_set()));
+  EXPECT_TRUE(is_mis(g, p.output_set()));
 }
 
 TEST(Faults, ZeroFractionCorruptsNothing) {
   const Graph g = gen::path(10);
   const CoinOracle coins(31);
-  TwoStateMIS p(g, make_init2(g, InitPattern::kAllWhite, coins), coins);
+  TwoState p(g, make_init2(g, InitPattern::kAllWhite, coins), TwoStateRule(coins));
   EXPECT_EQ(inject_faults(p, 0.0, 1).corrupted, 0);
 }
 
 TEST(Faults, FullFractionTouchesEveryVertex) {
   const Graph g = gen::path(10);
   const CoinOracle coins(37);
-  TwoStateMIS p(g, make_init2(g, InitPattern::kAllWhite, coins), coins);
+  TwoState p(g, make_init2(g, InitPattern::kAllWhite, coins), TwoStateRule(coins));
   EXPECT_EQ(inject_faults(p, 1.0, 1).corrupted, 10);
 }
 
