@@ -335,7 +335,9 @@ void append_trial_batch_rows(std::vector<EngineBenchRow>& rows) {
 // Graph-substrate rows: streaming construction throughput (edges/sec) and
 // the process's peak RSS after each build, plus the `.ssg` save -> mmap
 // round-trip. peak_rss_mb is a lifetime high-water mark — compare rows
-// within one emission run in order, not across runs.
+// within one emission run in order, not across runs. A build row's threads
+// is the width the build fanned out over (gen::gnp_build_width: 1 below the
+// size gate, the host width above it).
 void append_graph_build_rows(std::vector<EngineBenchRow>& rows) {
   // Per-process scratch dir: concurrent bench runs on one host must not
   // race on the round-trip files.
@@ -354,6 +356,7 @@ void append_graph_build_rows(std::vector<EngineBenchRow>& rows) {
     row.phase = "graph_build";
     row.n = n;
     row.m = g.num_edges();
+    row.threads = gen::gnp_build_width(n, p);
     row.edges_per_sec = static_cast<double>(g.num_edges()) * 1e9 / ns;
     row.peak_rss_mb = static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0);
     rows.push_back(row);
@@ -372,6 +375,25 @@ void append_graph_build_rows(std::vector<EngineBenchRow>& rows) {
     rt.edges_per_sec = static_cast<double>(mapped.num_edges()) * 1e9 / rt_ns;
     rt.peak_rss_mb = static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0);
     rows.push_back(rt);
+  }
+  // The compress-sink build of the larger graph: one degree pass plus one
+  // replay per chunk, fanned out like the plain build above the size gate.
+  {
+    const Vertex n = 1 << 20;
+    const double p = 8.0 / static_cast<double>(n);
+    const auto start = Clock::now();
+    const Graph g = gen::gnp_compressed(n, p, 7);
+    const double ns = elapsed_ns(start);
+    EngineBenchRow row;
+    row.process = "csr_builder_compressed";
+    row.graph = "gnp_avgdeg8_n" + std::to_string(n);
+    row.phase = "graph_build";
+    row.n = n;
+    row.m = g.num_edges();
+    row.threads = gen::gnp_build_width(n, p);
+    row.edges_per_sec = static_cast<double>(g.num_edges()) * 1e9 / ns;
+    row.peak_rss_mb = static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0);
+    rows.push_back(row);
   }
   std::filesystem::remove_all(dir);
 }

@@ -23,6 +23,19 @@
 // byte-identical to the GraphBuilder output for the same edge multiset
 // (rows end up sorted and deduplicated either way).
 //
+// Segmented sources. A source may come cut into `segments` independently
+// replayable pieces, `source(segment, emit)` (a plain `source(emit)` is the
+// one-segment case). Segments replay in any order on any thread, so both
+// passes fan out over ThreadPool::shared(): degree counts and placement
+// cursors advance by relaxed atomic increments, each segment sums its own
+// replay hash, and rows are sorted and deduplicated per row range. Because
+// every row ends sorted and deduplicated, the output depends only on the
+// edge multiset — never on emit order, segment count, or thread count —
+// so a segmented build is byte-identical to the one-segment build. One
+// segment (or a call from inside a pool task) runs inline with plain
+// increments, exactly the sequential build. Deciding how many segments a
+// source is worth is the source's job (gen::gnp gates on graph size).
+//
 // `from_source_compressed` is the 10^8-vertex variant: instead of
 // materializing the 12-bytes-per-endpoint plain CSR it encodes rows
 // straight into the varint/delta codec, chunk by chunk. The source replays
@@ -34,9 +47,11 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -44,6 +59,7 @@
 #include "graph/graph.hpp"
 #include "rng/splitmix64.hpp"
 #include "support/narrow.hpp"
+#include "support/thread_pool.hpp"
 
 namespace ssmis {
 
@@ -58,42 +74,19 @@ class CsrBuilder {
   // 2^-64-style false-accept odds, not a guarantee).
   template <typename Source>
   static Graph from_source(Vertex n, Source&& source) {
-    if (n < 0) throw std::invalid_argument("CsrBuilder: negative vertex count");
-    std::vector<std::int64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+    auto one = [&source](int, auto&& emit) { source(emit); };
+    return build(std::false_type{}, n, 1, one, 1);
+  }
 
-    // Pass 1: per-endpoint degree counts (duplicates included; self-loops
-    // dropped here and in pass 2).
-    std::uint64_t stream_hash1 = 0;
-    source([&](Vertex u, Vertex v) {
-      check_endpoints(n, u, v);
-      if (u == v) return;
-      ++offsets[static_cast<std::size_t>(u) + 1];
-      ++offsets[static_cast<std::size_t>(v) + 1];
-      stream_hash1 += edge_hash(u, v);
-    });
-    for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-
-    // Pass 2: placement. offsets[u] doubles as the write cursor for row u;
-    // after the pass offsets[u] holds the *end* of row u and is shifted back.
-    std::vector<Vertex> adj(static_cast<std::size_t>(offsets.back()));
-    std::uint64_t stream_hash2 = 0;
-    source([&](Vertex u, Vertex v) {
-      check_endpoints(n, u, v);
-      if (u == v) return;
-      const auto cu = static_cast<std::size_t>(offsets[static_cast<std::size_t>(u)]++);
-      const auto cv = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v)]++);
-      if (cu >= adj.size() || cv >= adj.size())
-        throw std::logic_error("CsrBuilder: edge source is not replayable "
-                               "(pass 2 emitted more edges than pass 1)");
-      adj[cu] = v;
-      adj[cv] = u;
-      stream_hash2 += edge_hash(u, v);
-    });
-    if (stream_hash1 != stream_hash2)
-      throw std::logic_error(
-          "CsrBuilder: edge source is not replayable (the two passes emitted "
-          "different edge multisets)");
-    return finalize(n, std::move(offsets), std::move(adj));
+  // The segmented form: `source(s, emit)` for s in [0, segments) emits
+  // segment s, and each segment must replay its own multiset (the hash
+  // check is per segment). Same contracts and result as the one-segment
+  // build of the concatenated stream.
+  template <typename Source>
+  static Graph from_source(Vertex n, int segments, Source&& source) {
+    const int width = fan_out_width(segments);
+    if (width > 1) return build(std::true_type{}, n, segments, source, width);
+    return build(std::false_type{}, n, segments, source, width);
   }
 
   // Default cap on the compressed sink's chunk buffer, in endpoints
@@ -115,22 +108,118 @@ class CsrBuilder {
   static Graph from_source_compressed(
       Vertex n, Source&& source,
       std::int64_t chunk_endpoints = kDefaultChunkEndpoints) {
+    auto one = [&source](int, auto&& emit) { source(emit); };
+    return build_compressed(std::false_type{}, n, 1, one, 1, chunk_endpoints);
+  }
+
+  // The segmented form (see from_source): every replay fans out over the
+  // segments, and each chunk's rows are sorted in parallel row ranges
+  // before the encoder appends them in row order.
+  template <typename Source>
+  static Graph from_source_compressed(
+      Vertex n, int segments, Source&& source,
+      std::int64_t chunk_endpoints = kDefaultChunkEndpoints) {
+    const int width = fan_out_width(segments);
+    if (width > 1)
+      return build_compressed(std::true_type{}, n, segments, source, width,
+                              chunk_endpoints);
+    return build_compressed(std::false_type{}, n, segments, source, width,
+                            chunk_endpoints);
+  }
+
+ private:
+  // Threads a build of `segments` segments fans out over: one for a single
+  // segment or inside a pool task (parallel_for would run inline anyway),
+  // else the host width.
+  static int fan_out_width(int segments) {
+    if (segments < 1) throw std::invalid_argument("CsrBuilder: segments must be positive");
+    return segments > 1 && !ThreadPool::in_task() ? ThreadPool::hardware_width() : 1;
+  }
+
+  // The build bodies take a tag: std::true_type when segments run
+  // concurrently, so counters and slots are touched through relaxed
+  // atomics; std::false_type on the inline path, which compiles to plain
+  // increments and stores.
+  template <typename Shared, typename Source>
+  static Graph build(Shared shared, Vertex n, int segments, Source& source,
+                     int width) {
+    if (n < 0) throw std::invalid_argument("CsrBuilder: negative vertex count");
+    std::vector<std::int64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+
+    // Pass 1: per-endpoint degree counts (duplicates included; self-loops
+    // dropped here and in pass 2).
+    std::vector<std::uint64_t> hash1(static_cast<std::size_t>(segments), 0);
+    ThreadPool::shared().parallel_for(segments, width, [&](int s) {
+      std::uint64_t h = 0;
+      source(s, [&](Vertex u, Vertex v) {
+        check_endpoints(n, u, v);
+        if (u == v) return;
+        bump(shared, offsets[static_cast<std::size_t>(u) + 1]);
+        bump(shared, offsets[static_cast<std::size_t>(v) + 1]);
+        h += edge_hash(u, v);
+      });
+      hash1[static_cast<std::size_t>(s)] = h;
+    });
+    for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
+
+    // Pass 2: placement. offsets[u] doubles as the write cursor for row u;
+    // after the pass offsets[u] holds the *end* of row u and is shifted back.
+    // The stores are relaxed atomics on the shared path only so that a
+    // non-replayable source overrunning a row stays a detected error, not a
+    // data race.
+    std::vector<Vertex> adj(static_cast<std::size_t>(offsets.back()));
+    ThreadPool::shared().parallel_for(segments, width, [&](int s) {
+      std::uint64_t h = 0;
+      source(s, [&](Vertex u, Vertex v) {
+        check_endpoints(n, u, v);
+        if (u == v) return;
+        const auto cu = static_cast<std::size_t>(
+            bump(shared, offsets[static_cast<std::size_t>(u)]));
+        const auto cv = static_cast<std::size_t>(
+            bump(shared, offsets[static_cast<std::size_t>(v)]));
+        if (cu >= adj.size() || cv >= adj.size())
+          throw std::logic_error("CsrBuilder: edge source is not replayable "
+                                 "(pass 2 emitted more edges than pass 1)");
+        put(shared, adj[cu], v);
+        put(shared, adj[cv], u);
+        h += edge_hash(u, v);
+      });
+      if (h != hash1[static_cast<std::size_t>(s)])
+        throw std::logic_error(
+            "CsrBuilder: edge source is not replayable (the two passes emitted "
+            "different edge multisets)");
+    });
+    return finalize(n, std::move(offsets), std::move(adj), width);
+  }
+
+  template <typename Shared, typename Source>
+  static Graph build_compressed(Shared shared, Vertex n, int segments,
+                                Source& source, int width,
+                                std::int64_t chunk_endpoints) {
     if (n < 0) throw std::invalid_argument("CsrBuilder: negative vertex count");
     if (chunk_endpoints <= 0)
       throw std::invalid_argument("CsrBuilder: chunk_endpoints must be positive");
 
     // Degree pass (duplicates included — dedup happens per-row below).
     std::vector<Vertex> degrees(static_cast<std::size_t>(n), 0);
-    std::uint64_t hash1 = 0;
-    std::int64_t total_endpoints = 0;
-    source([&](Vertex u, Vertex v) {
-      check_endpoints(n, u, v);
-      if (u == v) return;
-      ++degrees[static_cast<std::size_t>(u)];
-      ++degrees[static_cast<std::size_t>(v)];
-      total_endpoints += 2;
-      hash1 += edge_hash(u, v);
+    std::vector<std::uint64_t> hash1(static_cast<std::size_t>(segments), 0);
+    std::vector<std::int64_t> seg_endpoints(static_cast<std::size_t>(segments), 0);
+    ThreadPool::shared().parallel_for(segments, width, [&](int s) {
+      std::uint64_t h = 0;
+      std::int64_t endpoints = 0;
+      source(s, [&](Vertex u, Vertex v) {
+        check_endpoints(n, u, v);
+        if (u == v) return;
+        bump(shared, degrees[static_cast<std::size_t>(u)]);
+        bump(shared, degrees[static_cast<std::size_t>(v)]);
+        endpoints += 2;
+        h += edge_hash(u, v);
+      });
+      hash1[static_cast<std::size_t>(s)] = h;
+      seg_endpoints[static_cast<std::size_t>(s)] = endpoints;
     });
+    std::int64_t total_endpoints = 0;
+    for (const std::int64_t e : seg_endpoints) total_endpoints += e;
     chunk_endpoints = std::min<std::int64_t>(
         chunk_endpoints,
         std::max<std::int64_t>(std::int64_t{1} << 22, total_endpoints / 8));
@@ -176,35 +265,49 @@ class CsrBuilder {
       buf.resize(static_cast<std::size_t>(endpoints));
       cursor.assign(start.begin(), start.end() - 1);
 
-      std::uint64_t hash2 = 0;
-      source([&](Vertex u, Vertex v) {
-        check_endpoints(n, u, v);
-        if (u == v) return;
-        hash2 += edge_hash(u, v);
+      ThreadPool::shared().parallel_for(segments, width, [&](int s) {
+        std::uint64_t h = 0;
         const auto place = [&](Vertex at, Vertex nbr) {
           if (at < lo || at >= hi) return;
-          std::int64_t& c = cursor[static_cast<std::size_t>(at - lo)];
-          if (c >= start[static_cast<std::size_t>(at - lo) + 1])
+          const auto r = static_cast<std::size_t>(at - lo);
+          const std::int64_t c = bump(shared, cursor[r]);
+          if (c >= start[r + 1])
             throw std::logic_error(
                 "CsrBuilder: edge source is not replayable (a replay emitted "
                 "more edges than the degree pass)");
-          buf[static_cast<std::size_t>(c++)] = nbr;
+          put(shared, buf[static_cast<std::size_t>(c)], nbr);
         };
-        place(u, v);
-        place(v, u);
+        source(s, [&](Vertex u, Vertex v) {
+          check_endpoints(n, u, v);
+          if (u == v) return;
+          h += edge_hash(u, v);
+          place(u, v);
+          place(v, u);
+        });
+        if (h != hash1[static_cast<std::size_t>(s)])
+          throw std::logic_error(
+              "CsrBuilder: edge source is not replayable (a replay emitted a "
+              "different edge multiset than the degree pass)");
       });
-      if (hash2 != hash1)
-        throw std::logic_error(
-            "CsrBuilder: edge source is not replayable (a replay emitted a "
-            "different edge multiset than the degree pass)");
 
-      for (std::size_t r = 0; r < rows; ++r) {
-        Vertex* first = buf.data() + start[r];
-        Vertex* last = buf.data() + start[r + 1];
-        std::sort(first, last);
-        last = std::unique(first, last);
-        enc.add_row({first, static_cast<std::size_t>(last - first)});
-      }
+      // Sort and deduplicate each row; cursor[r] becomes the row's
+      // deduplicated end.
+      const std::vector<std::int64_t> ranges =
+          balanced_ranges(start.data(), narrow_cast<std::int64_t>(rows), width);
+      ThreadPool::shared().parallel_for(
+          narrow_cast<int>(ranges.size()) - 1, width, [&](int c) {
+            for (auto r = static_cast<std::size_t>(ranges[static_cast<std::size_t>(c)]);
+                 r < static_cast<std::size_t>(ranges[static_cast<std::size_t>(c) + 1]);
+                 ++r) {
+              Vertex* first = buf.data() + start[r];
+              Vertex* last = buf.data() + start[r + 1];
+              std::sort(first, last);
+              cursor[r] = std::unique(first, last) - buf.data();
+            }
+          });
+      for (std::size_t r = 0; r < rows; ++r)
+        enc.add_row({buf.data() + start[r],
+                     static_cast<std::size_t>(cursor[r] - start[r])});
       lo = hi;
     }
     // The scratch is dead; release it before finish() so its slack-return
@@ -216,7 +319,26 @@ class CsrBuilder {
     return std::move(enc).finish();
   }
 
- private:
+  // x++, atomically when shared.
+  template <typename T>
+  static T bump(std::true_type, T& x) {
+    return std::atomic_ref<T>(x).fetch_add(1, std::memory_order_relaxed);
+  }
+  template <typename T>
+  static T bump(std::false_type, T& x) {
+    return x++;
+  }
+
+  // slot = value, atomically when shared.
+  template <typename T>
+  static void put(std::true_type, T& slot, T value) {
+    std::atomic_ref<T>(slot).store(value, std::memory_order_relaxed);
+  }
+  template <typename T>
+  static void put(std::false_type, T& slot, T value) {
+    slot = value;
+  }
+
   // Commutative per-edge hash summed over a pass: order-independent, so the
   // passes may emit in any order, but (with overwhelming probability) not
   // different multisets.
@@ -238,9 +360,10 @@ class CsrBuilder {
   }
 
   // Restores the cursor-shifted offsets, sorts each row, deduplicates in
-  // place, and wraps the arrays in a Graph.
+  // place (row ranges in parallel over `width` threads), and wraps the
+  // arrays in a Graph.
   static Graph finalize(Vertex n, std::vector<std::int64_t> offsets,
-                        std::vector<Vertex> adj);
+                        std::vector<Vertex> adj, int width);
 };
 
 }  // namespace ssmis

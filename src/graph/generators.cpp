@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <unordered_set>
@@ -9,9 +10,11 @@
 
 #include "graph/builder.hpp"
 #include "graph/csr_builder.hpp"
+#include "graph/gnp_plan.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256.hpp"
 #include "support/narrow.hpp"
+#include "support/thread_pool.hpp"
 
 namespace ssmis {
 namespace gen {
@@ -22,38 +25,25 @@ void require(bool cond, const char* message) {
   if (!cond) throw std::invalid_argument(message);
 }
 
-// Geometric(p) skip length for G(n,p) skip-sampling, hardened against the
-// floating-point edge cases: r at the extremes of next_double and denormal-
-// small p can push log1p(-r)/log1p(-p) to -0.0, inf, or (0/-0) NaN; the
-// clamps map every non-finite or negative value to a safe skip instead of
-// feeding it to the int64 cast (UB on NaN/overflow). The 1e18 cap matches
-// the pre-hardening code so in-range seeds keep byte-identical streams.
-std::int64_t geometric_skip(double r, double log_1mp) {
-  const double skip_f = std::floor(std::log1p(-r) / log_1mp);
-  if (!(skip_f > 0.0)) return 0;  // NaN, -0.0, and negatives land here
-  if (skip_f >= 1e18) return static_cast<std::int64_t>(1e18);
-  return static_cast<std::int64_t>(skip_f);
-}
+// Expected endpoint count (2·E[m]) from which a G(n,p) build is planned
+// into segments and fanned out. Below it the plan's extra walk and skip pass
+// cost more than the fan-out saves (measured on a 4-core host: the sweep's
+// G(2^11, 1/4), ~10^6 endpoints, builds slower segmented).
+constexpr double kParallelGnpEndpoints = 4194304.0;  // 2^22
 
-// Emits G(n,p) via skip-sampling over the lexicographic enumeration of pairs
-// (u < v): the gap between successive present edges is geometric(p).
-// Deterministic in (n, p, seed), so the stream replays for the two-pass CSR
-// build. Requires 0 < p < 1.
-template <typename Emit>
-void emit_gnp(Vertex n, double p, std::uint64_t seed, Emit&& emit) {
-  Xoshiro256 rng(seed);
-  const double log_1mp = std::log1p(-p);
-  std::int64_t v = 1;
-  std::int64_t u = -1;
-  while (v < n) {
-    const std::int64_t skip = geometric_skip(rng.next_double(), log_1mp);
-    u += 1 + skip;
-    while (u >= v && v < n) {
-      u -= v;
-      ++v;
-    }
-    if (v < n) emit(static_cast<Vertex>(u), static_cast<Vertex>(v));
+// Hands `build(segments, source)` the G(n,p) stream, 0 < p < 1: the planned
+// segments when the build fans out, else the whole stream as one segment.
+template <typename Build>
+Graph build_gnp(Vertex n, double p, std::uint64_t seed, Build&& build) {
+  if (gnp_build_width(n, p) > 1) {
+    const GnpPlan plan(n, p, seed);
+    return build(plan.segments(),
+                 [&plan](int s, auto&& emit) { plan.replay(s, emit); });
   }
+  return build(1, [n, p, seed](int, auto&& emit) {
+    emit_gnp_draws(n, std::log1p(-p), Xoshiro256(seed), PairCursor{},
+                   std::numeric_limits<std::int64_t>::max(), emit);
+  });
 }
 
 // Packs a normalized pair (u < v) into one hash key.
@@ -233,13 +223,20 @@ Graph barbell(Vertex k) {
   });
 }
 
+int gnp_build_width(Vertex n, double p) {
+  if (!(p > 0.0 && p < 1.0) || ThreadPool::in_task()) return 1;
+  const double endpoints = p * static_cast<double>(n) * static_cast<double>(n - 1);
+  return endpoints < kParallelGnpEndpoints ? 1 : ThreadPool::hardware_width();
+}
+
 Graph gnp(Vertex n, double p, std::uint64_t seed) {
   require(n >= 0, "gnp: n must be >= 0");
   require(p >= 0.0 && p <= 1.0, "gnp: p must be in [0,1]");
   if (p >= 1.0) return complete(n);
   if (p <= 0.0) return CsrBuilder::from_source(n, [](auto&&) {});
-  return CsrBuilder::from_source(
-      n, [n, p, seed](auto&& emit) { emit_gnp(n, p, seed, emit); });
+  return build_gnp(n, p, seed, [n](int segments, auto&& source) {
+    return CsrBuilder::from_source(n, segments, source);
+  });
 }
 
 Graph gnp_compressed(Vertex n, double p, std::uint64_t seed,
@@ -250,9 +247,9 @@ Graph gnp_compressed(Vertex n, double p, std::uint64_t seed,
   if (p >= 1.0) return Graph::compress(complete(n));
   if (p <= 0.0)
     return CsrBuilder::from_source_compressed(n, [](auto&&) {}, chunk_endpoints);
-  return CsrBuilder::from_source_compressed(
-      n, [n, p, seed](auto&& emit) { emit_gnp(n, p, seed, emit); },
-      chunk_endpoints);
+  return build_gnp(n, p, seed, [n, chunk_endpoints](int segments, auto&& source) {
+    return CsrBuilder::from_source_compressed(n, segments, source, chunk_endpoints);
+  });
 }
 
 Graph gnm(Vertex n, std::int64_t m, std::uint64_t seed) {

@@ -56,7 +56,15 @@ Graph barbell(Vertex k);
 // --- Randomized families ----------------------------------------------------
 
 // Erdos-Renyi G(n,p), sampled edge-by-edge with geometric skips: O(n + m).
+// Large instances (see gnp_build_width) build in parallel from a segmented
+// plan of the same stream (graph/gnp_plan.hpp); the Graph is byte-identical
+// at every width.
 Graph gnp(Vertex n, double p, std::uint64_t seed);
+
+// Threads a gnp / gnp_compressed build of these arguments fans out over: 1
+// below the size gate (about 2^22 expected endpoints), for p outside (0, 1),
+// or inside a pool task; ThreadPool::hardware_width() otherwise.
+int gnp_build_width(Vertex n, double p);
 
 // G(n,p) built straight into compressed adjacency storage (the 10^8-vertex
 // path): identical distribution and seed semantics to gnp — the result is

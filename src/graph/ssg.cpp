@@ -8,7 +8,6 @@
 #include <memory>
 #include <random>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "graph/compressed.hpp"
@@ -189,27 +188,13 @@ void validate_adjacency(const std::string& path, std::int64_t n,
                         const std::int64_t* offsets, const Vertex* adj) {
   constexpr std::int64_t kParallelEndpoints = std::int64_t{1} << 20;
   const std::int64_t endpoints = n > 0 ? offsets[n] : 0;
-  const int width = std::min(
-      // ssmis-lint: allow(R2) audit fan-out width only: the first-error report is byte-identical at any width
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())),
-      ThreadPool::kMaxWorkers);
+  const int width = ThreadPool::hardware_width();
   if (endpoints < kParallelEndpoints || width <= 1 || n < 2) {
     audit_adjacency_rows(path, n, offsets, adj, 0, n);
     return;
   }
-  // Endpoint-balanced chunk boundaries (equal shares of the adjacency
-  // array, not of the vertex range): a handful of huge rows must not
-  // serialize the whole scan behind one worker.
-  const int chunks = narrow_cast<int>(
-      std::min<std::int64_t>(n, static_cast<std::int64_t>(width) * 4));
-  std::vector<std::int64_t> bounds(static_cast<std::size_t>(chunks) + 1, 0);
-  for (int c = 1; c < chunks; ++c) {
-    const std::int64_t target = endpoints / chunks * c;
-    const std::int64_t* it = std::lower_bound(offsets, offsets + n + 1, target);
-    bounds[static_cast<std::size_t>(c)] =
-        std::max<std::int64_t>(it - offsets, bounds[static_cast<std::size_t>(c) - 1]);
-  }
-  bounds[static_cast<std::size_t>(chunks)] = n;
+  const std::vector<std::int64_t> bounds = balanced_ranges(offsets, n, width);
+  const int chunks = narrow_cast<int>(bounds.size()) - 1;
   std::vector<std::string> first_error(static_cast<std::size_t>(chunks));
   ThreadPool::shared().parallel_for(chunks, width, [&](int c) {
     try {

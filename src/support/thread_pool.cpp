@@ -19,6 +19,29 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
+int ThreadPool::hardware_width() {
+  return std::min(static_cast<int>(std::max(1u, std::thread::hardware_concurrency())),
+                  kMaxWorkers);
+}
+
+bool ThreadPool::in_task() { return tl_in_pool_task; }
+
+std::vector<std::int64_t> balanced_ranges(const std::int64_t* prefix,
+                                          std::int64_t count, int width) {
+  const std::int64_t parts =
+      width > 1 ? std::clamp<std::int64_t>(count, 1, std::int64_t{width} * 4) : 1;
+  const std::int64_t total = prefix[count] - prefix[0];
+  std::vector<std::int64_t> bounds(static_cast<std::size_t>(parts) + 1, 0);
+  for (std::int64_t c = 1; c < parts; ++c) {
+    const std::int64_t target = prefix[0] + total / parts * c;
+    const std::int64_t at = std::lower_bound(prefix, prefix + count + 1, target) - prefix;
+    bounds[static_cast<std::size_t>(c)] =
+        std::clamp(at, bounds[static_cast<std::size_t>(c) - 1], count);
+  }
+  bounds[static_cast<std::size_t>(parts)] = count;
+  return bounds;
+}
+
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lk(mu_);

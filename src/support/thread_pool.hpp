@@ -1,7 +1,9 @@
 // A small persistent worker pool shared by the whole parallel runtime:
-// sharded engine stepping (core/engine.hpp) and batched trial scheduling
-// (harness/trial_batch.hpp) both fan out through this one pool, so threads
-// are spawned once per process, not once per round or per experiment cell.
+// sharded engine stepping (core/engine.hpp), batched trial scheduling
+// (harness/trial_batch.hpp), segmented graph construction
+// (graph/csr_builder.hpp) and the `.ssg` adjacency audit (graph/ssg.cpp) all
+// fan out through this one pool, so threads are spawned once per process,
+// not once per round or per experiment cell.
 //
 // Determinism contract: `parallel_for` addresses work by index. Callers
 // write results into per-index slots and merge them in index order, so what
@@ -12,6 +14,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -34,6 +37,15 @@ class ThreadPool {
   // The process-wide pool. Starts with zero workers and grows on demand
   // (ensure_workers / parallel_for); it is never shrunk.
   static ThreadPool& shared();
+
+  // Fan-out width for host-sized library work (graph construction, the
+  // `.ssg` audit): the host's hardware threads, clamped to [1, kMaxWorkers].
+  // Only callers whose output is byte-identical at every width may use it.
+  static int hardware_width();
+
+  // True while the calling thread runs a pool task, where parallel_for runs
+  // inline: size gates use it to keep nested work on its sequential path.
+  static bool in_task();
 
   // Grows the pool to at least min(n, kMaxWorkers) workers.
   void ensure_workers(int n);
@@ -80,5 +92,14 @@ class ThreadPool {
   std::shared_ptr<Job> job_;  // current job, null when idle (guarded by mu_)
   int job_slots_ = 0;         // worker-participation budget for job_
 };
+
+// Boundaries (first 0, last `count`) of the ranges a fan-out over `width`
+// threads splits [0, count) into: four per thread for balance, a single
+// range when width <= 1. `prefix` holds count + 1 prefix sums of a per-item
+// weight (a CSR offsets array), and every range carries an equal share of
+// it — of the endpoints, not of the rows, so a few huge rows cannot
+// serialize the work behind one thread.
+std::vector<std::int64_t> balanced_ranges(const std::int64_t* prefix,
+                                          std::int64_t count, int width);
 
 }  // namespace ssmis

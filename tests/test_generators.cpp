@@ -2,12 +2,18 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/algorithms.hpp"
+#include "graph/csr_builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/gnp_plan.hpp"
 #include "support/hash.hpp"
+#include "support/thread_pool.hpp"
 
 namespace ssmis {
 namespace {
@@ -309,6 +315,65 @@ TEST(GeneratorGoldens, FixedSeedByteIdentity) {
   for (const auto& [name, g] : actual) {
     EXPECT_EQ(fingerprint(g), golden.at(name)) << name;
   }
+}
+
+// Encoding fingerprint of a compressed-storage graph: n, m, and the raw
+// sampled index and payload bytes, so any codec-level difference shows.
+std::uint64_t encoding_fingerprint(const Graph& g) {
+  std::uint64_t h = kFnv1aBasis;
+  const std::int64_t n = g.num_vertices();
+  const std::int64_t m = g.num_edges();
+  h = fnv1a(h, &n, sizeof(n));
+  h = fnv1a(h, &m, sizeof(m));
+  const auto index = g.compressed_index();
+  const auto payload = g.compressed_payload();
+  h = fnv1a(h, index.data(), index.size_bytes());
+  h = fnv1a(h, payload.data(), payload.size_bytes());
+  return h;
+}
+
+TEST(GeneratorGoldens, LargeGnpAboveParallelThreshold) {
+  // Large enough to pass gnp's size gate, so on a multi-core host both
+  // builds fan out over the segmented plan. Both fingerprints were captured
+  // from the sequential single-stream builder that preceded the plan: the
+  // parallel build must reproduce it byte for byte.
+  const Vertex n = Vertex{1} << 19;
+  const double p = 16.0 / static_cast<double>(n - 1);
+  EXPECT_GT(gen::GnpPlan(n, p, 19).segments(), 1);
+  EXPECT_EQ(gen::gnp_build_width(n, p), ThreadPool::hardware_width());
+
+  const Graph g = gen::gnp(n, p, 19);
+  EXPECT_EQ(g.num_edges(), 4189980);
+  EXPECT_EQ(fingerprint(g), 0xf8a7028265ffdb43ULL);
+  const Graph c = gen::gnp_compressed(n, p, 19);
+  EXPECT_EQ(encoding_fingerprint(c), 0xb540247ca974dbd7ULL);
+  EXPECT_EQ(c, Graph::compress(g));
+}
+
+TEST(GeneratorGoldens, GnpPlanReplaysTheSerialStream) {
+  // The plan's segments, replayed in order, emit exactly the serial stream
+  // (same pairs, same order) — on any host, whatever the build width.
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    for (const auto& [n, p] : {std::pair<Vertex, double>{4096, 0.02},
+                               std::pair<Vertex, double>{20000, 0.002},
+                               std::pair<Vertex, double>{3, 0.5},
+                               std::pair<Vertex, double>{1, 0.5},
+                               std::pair<Vertex, double>{0, 0.5}}) {
+      std::vector<Edge> serial;
+      gen::emit_gnp_draws(n, std::log1p(-p), Xoshiro256(seed), gen::PairCursor{},
+                          std::numeric_limits<std::int64_t>::max(),
+                          [&](Vertex u, Vertex v) { serial.emplace_back(u, v); });
+      const gen::GnpPlan plan(n, p, seed);
+      std::vector<Edge> planned;
+      for (int s = 0; s < plan.segments(); ++s)
+        plan.replay(s, [&](Vertex u, Vertex v) { planned.emplace_back(u, v); });
+      EXPECT_EQ(serial, planned) << "n " << n << " p " << p << " seed " << seed;
+      EXPECT_EQ(CsrBuilder::from_source(n, plan.segments(),
+                                        [&plan](int s, auto&& emit) { plan.replay(s, emit); }),
+                gen::gnp(n, p, seed));
+    }
+  }
+  EXPECT_GT(gen::GnpPlan(20000, 0.002, 1).segments(), 1);
 }
 
 // --- Bugfix regressions -----------------------------------------------------
