@@ -30,13 +30,16 @@
 // round-by-round against the naive transcriptions of Definitions 4, 5, 26
 // and 28.
 //
-// The same purity makes the decide phase shardable: set_shards(s) fans the
-// worklist out across the shared worker pool and merges per-shard change
-// lists in shard order, keeping trajectories bit-identical at any shard
-// count (docs/architecture.md, "Parallel runtime").
+// The same purity makes the whole synchronous round shardable: set_shards(s)
+// fans the decide phase out across the shared worker pool and, in heavy
+// rounds, the apply phase too (commutative atomic counter patches, then a
+// range-scan refresh whose order-sensitive worklist events merge in shard
+// order), keeping trajectories bit-identical at any shard count
+// (docs/architecture.md, "Parallel runtime").
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <concepts>
 #include <cstdint>
 #include <iterator>
@@ -276,6 +279,17 @@ class ProcessEngine {
   static constexpr int kMaxCounters = 32;
   // Minimum worklist items a shard must get before fan-out pays for itself.
   static constexpr std::size_t kShardGrain = 256;
+  // A round is heavy — its apply phase runs sharded — once |changed| *
+  // kHeavyRoundRatio >= n and |changed| >= kHeavyRoundMin. The sharded
+  // refresh scans every vertex's touch mark, which only pays when a sizable
+  // share of the graph was touched; and a heavy round wakes the pool twice
+  // more, which costs more than it saves below about 16k changes (a 2-state
+  // run on G(n, avg deg 8) at 4 shards on a 4-core host lost up to
+  // n = 2^17, about 13k changes per heavy round, and won from n = 2^18).
+  // Lighter rounds keep the sparse touched-list path, so near-stabilized
+  // stepping stays O(|A_t| + sum deg(changed)), flat in n.
+  static constexpr std::size_t kHeavyRoundRatio = 64;
+  static constexpr std::size_t kHeavyRoundMin = std::size_t{1} << 14;
 
   // `init` must have size g.num_vertices() and only colors with raw value
   // below rule.num_colors(); the graph must outlive the engine. Throws
@@ -306,12 +320,14 @@ class ProcessEngine {
   // patched in O(|A_t| + sum deg(changed)). Advances round() by one.
   //
   // With set_shards(s > 1) the decide phase is partitioned into contiguous
-  // slices of the worklist and run on the shared thread pool; the per-shard
-  // change lists are merged in shard order, which reproduces the sequential
-  // change order exactly, so the whole trajectory — colors, counters,
-  // worklist contents and internal ordering, aggregates — is bit-identical
-  // to a sequential run (transitions are pure functions of their arguments
-  // and the counter-based coins; see docs/architecture.md).
+  // slices of the worklist and run on the shared thread pool, and a heavy
+  // round (kHeavyRoundRatio, kHeavyRoundMin) also shards its apply phase (see
+  // apply_sharded). Colors, counters, the scheduled and periodic SETS, and
+  // every aggregate are bit-identical to a sequential run at any shard
+  // count (transitions are pure functions of their arguments and the
+  // counter-based coins; counter patches commute); only the worklist's
+  // internal order differs, and no consumer reads it as an order (see
+  // docs/architecture.md).
   void step() {
     const std::int64_t t = round_ + 1;
     if constexpr (RuleHasLazyRounds<Rule>) rule_.begin_round(worklist_.empty());
@@ -358,22 +374,26 @@ class ProcessEngine {
 
   // --- parallelism ---------------------------------------------------------
 
-  // Shards the decide phase across the shared thread pool. `shards` <= 1
-  // (the default) keeps sequential stepping; any value yields bit-identical
-  // trajectories, so this is purely a throughput knob. Worklists below the
-  // per-shard grain run sequentially regardless (fan-out would cost more
+  // Shards each round across the shared thread pool: the decide phase, and
+  // the apply phase of heavy rounds. `shards` <= 1 (the default) keeps
+  // sequential stepping; any value yields bit-identical trajectories, so
+  // this is purely a throughput knob. Worklists below the per-shard grain
+  // and light rounds run sequentially regardless (fan-out would cost more
   // than the work).
   void set_shards(int shards) {
     shards_ = shards < 1 ? 1 : shards;
     if (shards_ > 1) ThreadPool::shared().ensure_workers(shards_ - 1);
-    // One decode scratch per shard: any engine phase — today's sequential
-    // apply/refresh walks or a future sharded one — has a private buffer,
-    // so parallel stepping on compressed graphs stays allocation-free (the
-    // buffers are reused across rounds) and bit-identical (decoding is a
-    // pure read of the shared payload).
+    // One decode scratch per shard: the sharded apply's counter patches and
+    // coverage walks decode into their shard's own buffer, so parallel
+    // stepping on compressed graphs stays allocation-free (the buffers are
+    // reused across rounds) and bit-identical (decoding is a pure read of
+    // the shared payload).
     nbr_scratch_.resize(static_cast<std::size_t>(shards_));
   }
   [[nodiscard]] int shards() const { return shards_; }
+  // How many apply passes took the sharded heavy-round path so far (a
+  // diagnostic: tests use it to prove the parallel apply really ran).
+  [[nodiscard]] std::int64_t sharded_applies() const { return sharded_applies_; }
 
   // Fault-injection / test hook: overwrite one vertex's color, keeping every
   // counter, worklist entry, and aggregate consistent in O(deg(u)). Counts
@@ -498,6 +518,12 @@ class ProcessEngine {
     }
     return cnt_ptr(u);
   }
+
+  // The raw counter array, [u * num_counters + j], without materializing
+  // parked orbits — O(1). Under fast-forward, the components a parked
+  // neighbor's orbit moves may lag; after an exact-state bulk accessor
+  // (colors(), sync_fast_forward()) every entry is exact.
+  [[nodiscard]] std::span<const Vertex> raw_counters() const { return counters_; }
 
   // Number of vertices currently holding color c (histogram-backed; syncs
   // the periodic set first, so O(|periodic set|) under fast-forward).
@@ -678,44 +704,216 @@ class ProcessEngine {
   }
 
   // Phase 2: commit staged colors, patch counters of N(changed), and
-  // refresh flags/worklist/aggregates for N+(changed) only. Touched parked
-  // vertices are materialized by their refresh (the re-activation point),
-  // which may touch further vertices — hence the index-based final loop.
+  // refresh flags/worklist/aggregates for N+(changed) only — sharded in
+  // heavy rounds (apply_sharded), over the sparse touched list otherwise.
+  // Touched parked vertices are materialized by their refresh (the
+  // re-activation point), which may touch further vertices — hence the
+  // index-based final loop.
   void apply() {
     ++touch_gen_;
     touched_.clear();
     in_apply_ = true;
-    for (Vertex u : changed_) {
-      const std::size_t su = static_cast<std::size_t>(u);
-      const Color prev = colors_[su];
-      const Color next = staged_[su];
-      --hist_[raw(prev)];
-      ++hist_[raw(next)];
-      colors_[su] = next;
-      touch(u);
-      // Sparse counter patch: only the counters whose contribution differs
-      // between prev and next (at most 2 for one-hot emission rules).
-      int nz = 0;
-      int js[kMaxCounters];
-      Vertex ds[kMaxCounters];
-      for (int j = 0; j < k_; ++j) {
-        const Vertex d = rule_.contribution(next, j) - rule_.contribution(prev, j);
-        if (d != 0) {
-          js[nz] = j;
-          ds[nz] = d;
-          ++nz;
-        }
-      }
-      if (nz == 0) continue;
-      for (Vertex v : nbrs(u)) {
-        Vertex* base = counters_.data() +
-                       static_cast<std::size_t>(v) * static_cast<std::size_t>(k_);
-        for (int i = 0; i < nz; ++i) base[js[i]] += ds[i];
-        touch(v);
-      }
+    const std::size_t m = changed_.size();
+    const int s = effective_shards(m);
+    if (s > 1 && m >= kHeavyRoundMin &&
+        m * kHeavyRoundRatio >= static_cast<std::size_t>(graph_->num_vertices())) {
+      apply_sharded(s);
+    } else {
+      DirectSink sink{*this};
+      for (Vertex u : changed_) commit_one(u, sink);
     }
     for (std::size_t i = 0; i < touched_.size(); ++i) refresh(touched_[i]);
     in_apply_ = false;
+  }
+
+  // The heavy-round apply, in three steps:
+  //   A. each shard commits a contiguous slice of changed_ (disjoint color
+  //      slots), patching neighbor counters with relaxed atomic adds —
+  //      addition commutes, so the counters are exact — and storing touch
+  //      marks;
+  //   B. each shard scans an equal vertex range for touch marks in
+  //      ascending order and re-derives the touched vertices' flags (its
+  //      own flag slots), bumping coverage counts atomically and recording
+  //      aggregate deltas and worklist/periodic events;
+  //   C. one thread reduces the deltas and applies the events in shard
+  //      order.
+  // Touched parked vertices skip B: they are queued for the serial
+  // materialize/refresh loop in apply(), in shard order, so fast-forward
+  // rules keep their exact semantics.
+  void apply_sharded(int s) {
+    ++sharded_applies_;
+    const std::size_t shards = static_cast<std::size_t>(s);
+    shard_apply_.resize(shards);
+    const std::size_t m = changed_.size();
+    ThreadPool::shared().parallel_for(s, shards_, [&](int i) {
+      const std::size_t si = static_cast<std::size_t>(i);
+      ShardApply& out = shard_apply_[si];
+      out.reset(num_colors_);
+      ShardSink sink{*this, out, nbr_scratch_[si]};
+      const std::size_t b = m * si / shards;
+      const std::size_t e = m * (si + 1) / shards;
+      for (std::size_t k = b; k < e; ++k) commit_one(changed_[k], sink);
+    });
+    const std::size_t n = static_cast<std::size_t>(graph_->num_vertices());
+    ThreadPool::shared().parallel_for(s, shards_, [&](int i) {
+      const std::size_t si = static_cast<std::size_t>(i);
+      ShardApply& out = shard_apply_[si];
+      ShardSink sink{*this, out, nbr_scratch_[si]};
+      const std::size_t e = n * (si + 1) / shards;
+      const std::uint64_t gen = touch_gen_;
+      for (std::size_t v = n * si / shards; v < e; ++v) {
+        if (touch_mark_[v] != gen) continue;
+        const Vertex u = narrow_cast<Vertex>(v);
+        if constexpr (kFastForward) {
+          if (periodic_.contains(u)) {
+            out.deferred.push_back(u);
+            continue;
+          }
+        }
+        rederive(u, sink);
+      }
+    });
+    for (const ShardApply& part : shard_apply_) {
+      for (int c = 0; c < num_colors_; ++c)
+        hist_[static_cast<std::size_t>(c)] += part.hist[static_cast<std::size_t>(c)];
+      num_active_ += part.active;
+      num_violations_ += part.violations;
+      num_stable_black_ += part.stable_black;
+      num_unstable_ += part.unstable;
+      // Per vertex: at most one of erase/insert, and a park only after an
+      // insert or with no scheduling change — so this op order reproduces
+      // each vertex's serial sequence.
+      for (Vertex u : part.erases) worklist_.erase(u);
+      for (Vertex u : part.inserts) worklist_.insert(u);
+      for (Vertex u : part.parks) park(u);
+      touched_.insert(touched_.end(), part.deferred.begin(), part.deferred.end());
+    }
+  }
+
+  // Where the per-vertex apply kernels (commit_one, rederive) put their
+  // side effects. DirectSink writes the engine in place: the light path and
+  // every serial refresh. ShardSink is one shard of a heavy round: counter
+  // patches and coverage bumps are relaxed atomic adds (commutative, so
+  // exact), touch marks are atomic stores of the same generation, and
+  // everything order-sensitive lands in the shard's own ShardApply for the
+  // serial merge.
+  struct DirectSink {
+    ProcessEngine& e;
+    NeighborScratch& scratch() { return e.nbr_scratch_[0]; }
+    void recolor(Color prev, Color next) {
+      --e.hist_[raw(prev)];
+      ++e.hist_[raw(next)];
+    }
+    static void add(Vertex& counter, Vertex d) { counter += d; }
+    void touch(Vertex v) { e.touch(v); }
+    void schedule(Vertex v, bool on) {
+      if (on)
+        e.worklist_.insert(v);
+      else
+        e.worklist_.erase(v);
+    }
+    void tally(Vertex active, Vertex violations, Vertex stable_black) {
+      e.num_active_ += active;
+      e.num_violations_ += violations;
+      e.num_stable_black_ += stable_black;
+    }
+    void cover(Vertex x, Vertex d) { e.bump_covered(x, d); }
+    void park(Vertex v) { e.park(v); }
+  };
+
+  // Cache-line aligned: shards bump their tallies and list ends all round.
+  struct alignas(64) ShardApply {
+    std::vector<Vertex> hist;  // histogram delta per raw color
+    Vertex active = 0;
+    Vertex violations = 0;
+    Vertex stable_black = 0;
+    Vertex unstable = 0;
+    // Worklist/periodic events, each list in ascending vertex order.
+    std::vector<Vertex> inserts, erases, parks;
+    std::vector<Vertex> deferred;  // touched parked vertices, refreshed serially
+
+    void reset(int num_colors) {
+      hist.assign(static_cast<std::size_t>(num_colors), 0);
+      active = violations = stable_black = unstable = 0;
+      inserts.clear();
+      erases.clear();
+      parks.clear();
+      deferred.clear();
+    }
+  };
+
+  struct ShardSink {
+    ProcessEngine& e;
+    ShardApply& out;
+    NeighborScratch& scr;
+    NeighborScratch& scratch() { return scr; }
+    void recolor(Color prev, Color next) {
+      --out.hist[raw(prev)];
+      ++out.hist[raw(next)];
+    }
+    static void add(Vertex& counter, Vertex d) {
+      std::atomic_ref<Vertex>(counter).fetch_add(d, std::memory_order_relaxed);
+    }
+    void touch(Vertex v) {
+      std::atomic_ref<std::uint64_t>(e.touch_mark_[static_cast<std::size_t>(v)])
+          .store(e.touch_gen_, std::memory_order_relaxed);
+    }
+    void schedule(Vertex v, bool on) { (on ? out.inserts : out.erases).push_back(v); }
+    void tally(Vertex active, Vertex violations, Vertex stable_black) {
+      out.active += active;
+      out.violations += violations;
+      out.stable_black += stable_black;
+    }
+    // The returned old value makes each add's zero crossing exact, whatever
+    // order the shards' adds land in.
+    void cover(Vertex x, Vertex d) {
+      const Vertex old = std::atomic_ref<Vertex>(e.covered_[static_cast<std::size_t>(x)])
+                             .fetch_add(d, std::memory_order_relaxed);
+      if (old == 0 && d > 0) --out.unstable;
+      if (old + d == 0 && d < 0) ++out.unstable;
+    }
+    void park(Vertex v) { out.parks.push_back(v); }
+  };
+
+  // The counter components whose contribution differs between two colors
+  // (at most 2 for one-hot emission rules).
+  struct CounterDelta {
+    int nz = 0;
+    int js[kMaxCounters];
+    Vertex ds[kMaxCounters];
+  };
+  CounterDelta counter_delta(Color prev, Color next) const {
+    CounterDelta out;
+    for (int j = 0; j < k_; ++j) {
+      const Vertex d = rule_.contribution(next, j) - rule_.contribution(prev, j);
+      if (d != 0) {
+        out.js[out.nz] = j;
+        out.ds[out.nz] = d;
+        ++out.nz;
+      }
+    }
+    return out;
+  }
+
+  // Commit kernel: u takes its staged color; the counters of N(u) and the
+  // touch marks of N+(u) follow. Writes u's own color slot (changed_ is
+  // duplicate-free) and everything else through the sink.
+  template <typename Sink>
+  void commit_one(Vertex u, Sink& sink) {
+    const std::size_t su = static_cast<std::size_t>(u);
+    const Color prev = colors_[su];
+    const Color next = staged_[su];
+    sink.recolor(prev, next);
+    colors_[su] = next;
+    sink.touch(u);
+    const CounterDelta delta = counter_delta(prev, next);
+    if (delta.nz == 0) return;
+    for (Vertex v : graph_->neighbors(u, sink.scratch())) {
+      Vertex* base = counters_.data() +
+                     static_cast<std::size_t>(v) * static_cast<std::size_t>(k_);
+      for (int i = 0; i < delta.nz; ++i) sink.add(base[delta.js[i]], delta.ds[i]);
+      sink.touch(v);
+    }
   }
 
   void touch(Vertex u) {
@@ -751,45 +949,52 @@ class ProcessEngine {
   //
   // Under fast-forward this is also both the re-activation point (a parked
   // u is materialized before anything reads its flags or color) and the
-  // entry point (a live scheduled u whose rule declares its current
-  // configuration an autonomous orbit is parked: removed from the live
-  // worklist with its kScheduledBit — and all predicate flags, frozen by
-  // the orbit's constancy promise — left set, so the O(1) aggregates stay
-  // the logical values).
+  // entry point (see rederive).
   void refresh(Vertex u) {
-    const std::size_t su = static_cast<std::size_t>(u);
     if constexpr (kFastForward) {
       if (periodic_.contains(u)) materialize(u);
     }
+    DirectSink sink{*this};
+    rederive(u, sink);
+  }
+
+  // Re-derive kernel for a live u: writes u's own flag slot and everything
+  // else through the sink. A live scheduled u whose rule declares its
+  // current configuration an autonomous orbit is parked: removed from the
+  // live worklist with its kScheduledBit — and all predicate flags, frozen
+  // by the orbit's constancy promise — left set, so the O(1) aggregates
+  // stay the logical values.
+  template <typename Sink>
+  void rederive(Vertex u, Sink& sink) {
+    const std::size_t su = static_cast<std::size_t>(u);
     const std::uint8_t now = compute_flags(u);
     const std::uint8_t before = flags_[su];
     if (now != before) {
       flags_[su] = now;
-      if ((now ^ before) & kScheduledBit) {
-        if (now & kScheduledBit)
-          worklist_.insert(u);
-        else
-          worklist_.erase(u);
-      }
+      if ((now ^ before) & kScheduledBit) sink.schedule(u, (now & kScheduledBit) != 0);
       if constexpr (kTracksStability) {
-        num_active_ += ((now >> 1) & 1) - ((before >> 1) & 1);
-        num_violations_ += ((now >> 2) & 1) - ((before >> 2) & 1);
-        num_stable_black_ += ((now >> 3) & 1) - ((before >> 3) & 1);
+        sink.tally(((now >> 1) & 1) - ((before >> 1) & 1),
+                   ((now >> 2) & 1) - ((before >> 2) & 1),
+                   ((now >> 3) & 1) - ((before >> 3) & 1));
         if ((now ^ before) & kStableBlackBit) {
           const Vertex d = (now & kStableBlackBit) ? 1 : -1;
-          bump_covered(u, d);
-          for (Vertex v : nbrs(u)) bump_covered(v, d);
+          sink.cover(u, d);
+          for (Vertex v : graph_->neighbors(u, sink.scratch())) sink.cover(v, d);
         }
       }
     }
     if constexpr (kFastForward) {
       if (fast_forward_ && (now & kScheduledBit) &&
-          rule_.fast_forwardable(colors_[su], cnt_ptr(u))) {
-        worklist_.erase(u);
-        periodic_.insert(u);
-        ff_entry_[su] = round_;
-      }
+          rule_.fast_forwardable(colors_[su], cnt_ptr(u)))
+        sink.park(u);
     }
+  }
+
+  // Enter the periodic set (u is live and scheduled).
+  void park(Vertex u) {
+    worklist_.erase(u);
+    periodic_.insert(u);
+    ff_entry_[static_cast<std::size_t>(u)] = round_;
   }
 
   // Exit the periodic set: advance u's stored color to the current round by
@@ -809,18 +1014,8 @@ class ProcessEngine {
     --hist_[raw(prev)];
     ++hist_[raw(now)];
     colors_[su] = now;
-    int nz = 0;
-    int js[kMaxCounters];
-    Vertex ds[kMaxCounters];
-    for (int j = 0; j < k_; ++j) {
-      const Vertex d = rule_.contribution(now, j) - rule_.contribution(prev, j);
-      if (d != 0) {
-        js[nz] = j;
-        ds[nz] = d;
-        ++nz;
-      }
-    }
-    if (nz == 0) return;
+    const CounterDelta delta = counter_delta(prev, now);
+    if (delta.nz == 0) return;
     // Local neighbor copy: outside apply() the refresh pass below can
     // materialize further vertices, which would reuse the shared decode
     // scratch mid-iteration. Materializations that move a counter are rare
@@ -830,7 +1025,7 @@ class ProcessEngine {
     for (Vertex v : nb) {
       Vertex* base = counters_.data() +
                      static_cast<std::size_t>(v) * static_cast<std::size_t>(k_);
-      for (int i = 0; i < nz; ++i) base[js[i]] += ds[i];
+      for (int i = 0; i < delta.nz; ++i) base[delta.js[i]] += delta.ds[i];
     }
     if (in_apply_) {
       for (Vertex v : nb) touch(v);
@@ -862,12 +1057,12 @@ class ProcessEngine {
     for (Vertex u : snap) refresh(u);
   }
 
-  // Decode-aware neighbor view for the sequential engine phases (apply,
-  // refresh): the raw CSR span on plain graphs, a decode into this engine's
-  // shard-0 scratch on compressed graphs. The scratch vector is sized by
-  // set_shards so every shard owns a slot; all *current* neighbor walks
-  // happen in the sequential phases (the sharded decide phase reads only
-  // colors and counters), so slot 0 suffices there.
+  // Decode-aware neighbor view for the serial engine paths (materialize,
+  // the exact-state accessors, construction): the raw CSR span on plain
+  // graphs, a decode into shard 0's scratch on compressed graphs. The
+  // sharded apply's kernels decode through their sink instead, each shard
+  // into its own slot (set_shards sizes the vector); the sharded decide
+  // phase reads only colors and counters.
   std::span<const Vertex> nbrs(Vertex u) {
     return graph_->neighbors(u, nbr_scratch_[0]);
   }
@@ -980,6 +1175,7 @@ class ProcessEngine {
   std::vector<Vertex> changed_;
   std::vector<Vertex> chosen_unique_;
   std::vector<std::vector<Vertex>> shard_changed_;
+  std::vector<ShardApply> shard_apply_;
   std::vector<std::uint64_t> touch_mark_;
   std::vector<Vertex> touched_;
   std::uint64_t stage_gen_ = 0;
@@ -989,6 +1185,7 @@ class ProcessEngine {
   std::vector<NeighborScratch> nbr_scratch_ = std::vector<NeighborScratch>(1);
 
   int shards_ = 1;
+  std::int64_t sharded_applies_ = 0;
   std::int64_t round_ = 0;
   int k_ = 0;
   int num_colors_ = 0;

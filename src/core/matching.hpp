@@ -91,7 +91,7 @@ class MatchingProcess final : public Process {
   int num_colors() const override { return 2; }
   bool inject_fault(Vertex u, std::uint64_t w) override;
 
-  // Shards the line engine's decide phase (bit-identical at any value).
+  // Shards the line engine's rounds (bit-identical at any value).
   void set_shards(int shards) override { engine_.set_shards(shards); }
 
   // Ascending edge ids incident to u (a view into the internal CSR).

@@ -103,7 +103,7 @@ class Process {
     return true;
   }
 
-  // Shards the engine's decide phase across the shared thread pool
+  // Shards the engine's rounds across the shared thread pool
   // (bit-identical trajectories at any value; 1 = sequential).
   virtual void set_shards(int shards) = 0;
 

@@ -34,8 +34,8 @@ struct MeasureConfig {
   // Parallel runtime (defaults keep the old sequential behavior). With
   // threads > 1 and batch == true, whole trials interleave across the
   // shared thread pool (TrialBatch); with batch == false, trials run in
-  // index order and each trial's engine decide phase is sharded `threads`
-  // ways instead. Either way results are bit-identical to threads == 1 —
+  // index order and each trial's engine rounds are sharded `threads` ways
+  // instead. Either way results are bit-identical to threads == 1 —
   // see docs/architecture.md ("Parallel runtime") for when each wins.
   int threads = 1;
   bool batch = true;
@@ -66,7 +66,7 @@ struct Measurements {
 Measurements measure_stabilization(const Graph& g, const MeasureConfig& config);
 
 // Single traced run, for shape plots. config.threads > 1 shards the
-// engine's decide phase (config.batch is irrelevant for one run).
+// engine's rounds (config.batch is irrelevant for one run).
 RunResult traced_run(const Graph& g, const MeasureConfig& config);
 
 // Per-vertex stabilization times of one run: entry u is the first round at

@@ -158,7 +158,7 @@ class BeepingNetwork {
   void set_loss_probability(double p);
   double loss_probability() const { return engine_.rule().loss_probability(); }
 
-  // Shards the decide phase across the shared thread pool (bit-identical
+  // Shards each round across the shared thread pool (bit-identical
   // executions at any value; 1 = sequential).
   void set_shards(int shards) { engine_.set_shards(shards); }
 

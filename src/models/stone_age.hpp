@@ -150,7 +150,7 @@ class StoneAgeNetwork {
 
   const Graph& graph() const { return engine_.graph(); }
 
-  // Shards the decide phase across the shared thread pool (bit-identical
+  // Shards each round across the shared thread pool (bit-identical
   // executions at any value; 1 = sequential).
   void set_shards(int shards) { engine_.set_shards(shards); }
 

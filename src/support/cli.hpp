@@ -19,7 +19,7 @@ namespace ssmis {
 //                 0 = hardware concurrency)
 //   --batch[=0|1] with N > 1: interleave whole trials across the pool
 //                 (default) vs. --batch=0 / --shard: run trials in order,
-//                 sharding each engine's decide phase N ways
+//                 sharding each engine's rounds N ways
 // Both modes are bit-identical to sequential; see docs/architecture.md.
 struct ParallelOptions {
   int threads = 1;

@@ -1,8 +1,10 @@
-// Seeded R4 violations: decide-phase shard-discipline breaches. The
-// sharded decide phase is bit-identical only because transition_range and
-// the parallel_for lambdas write nothing but per-shard state, and because
-// the rule callbacks they invoke are const. Each breach below must be
-// flagged.
+// Seeded R4 violations: shard-discipline breaches. Sharded stepping is
+// bit-identical only because transition_range, the apply kernels and the
+// parallel_for lambdas write nothing shared except per-shard state,
+// atomic_ref targets and (apply regions only) disjoint per-vertex slots,
+// and because the rule callbacks they invoke are const. Each breach below
+// must be flagged.
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -46,5 +48,44 @@ struct BadRule {
   }
   bool scheduled(int u, std::int64_t t) const {  // ok: const callback
     return ((u + t) & 1) == 0;
+  }
+};
+
+class BadApplyEngine {
+ public:
+  void apply_sharded(FakePool& pool, int shards) {
+    pool.parallel_for(shards, [&](int s) {
+      colors_[s] = 1;                                   // ok: disjoint slot
+      std::atomic_ref<int>(counters_[s]).fetch_add(1);  // ok: atomic_ref
+      shard_apply_[s] = s;                              // ok: per-shard slot
+      counters_[s] += 1;                                // R4: plain patch
+      worklist_.insert(s);                              // R4: shared list
+    });
+  }
+
+  void commit_one(int u) {
+    colors_[u] = 2;  // ok: disjoint slot in an apply kernel
+    ++hist_[u];      // R4: shared histogram in an apply kernel
+  }
+
+  void decide(FakePool& pool, int shards) {
+    pool.parallel_for(shards, [&](int s) {
+      colors_[s] = 0;  // R4: disjoint slots are allowed in apply regions only
+    });
+  }
+
+ private:
+  std::vector<int> colors_;
+  std::vector<int> counters_;
+  std::vector<int> shard_apply_;
+  std::vector<int> hist_;
+  std::vector<int> worklist_;
+};
+
+struct BadApplyRule {
+  int reads = 0;
+  bool active(int c, const int* cnt) {  // R4: the sharded refresh calls it
+    ++reads;
+    return c + cnt[0] > 0;
   }
 };

@@ -22,6 +22,12 @@
 //      / num_unstable / histogram counts reported with vertices parked must
 //      equal the unoptimized twin's values every round (the physical
 //      worklist is allowed to be empty; the logical answers are not).
+//
+//   4. Parked vertices in a sharded heavy round: the sharded apply leaves
+//      touched parked vertices to a serial materialize/refresh tail. A
+//      test rule whose parked vertices sit next to vertices that change
+//      every round drives that tail (and its touch cascade) in every round,
+//      and must match both the 1-shard and the unoptimized engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "core/process.hpp"
 #include "graph/generators.hpp"
 #include "harness/registry.hpp"
@@ -202,6 +209,82 @@ TEST(FastForward, MidRunToggleLandsOnUnoptimizedTrajectory) {
         for (Vertex u = 0; u < g.num_vertices(); ++u)
           ASSERT_EQ(opt->raw_state(u), ref->raw_state(u))
               << name << " phase " << phase << " step " << i << " vertex " << u;
+      }
+    }
+  }
+}
+
+// Colors A0/A1 form a memoryless orbit (the color at round T is round T's
+// coin), declared while the vertex has an even number of B neighbors; B/C
+// re-randomize every round on the live worklist, so parked vertices see
+// their neighbors change, and enter or leave the periodic set, in every
+// round. Counter 0 counts B neighbors, counter 1 counts A1 neighbors — the
+// only component the orbit moves, and one no predicate or transition reads
+// (the output-projection contract).
+class BlinkRule {
+ public:
+  enum Color : std::uint8_t { kA0, kA1, kB, kC };
+  static constexpr bool kTracksStability = false;
+  static constexpr std::int64_t kOrbitPeriodHint = 1;
+
+  explicit BlinkRule(const CoinOracle& coins) : coins_(coins) {}
+
+  int num_colors() const { return 4; }
+  int num_counters() const { return 2; }
+  Vertex contribution(Color c, int j) const {
+    return j == 0 ? (c == kB ? 1 : 0) : (c == kA1 ? 1 : 0);
+  }
+  bool scheduled(Color, const Vertex*) const { return true; }
+  Color transition(Vertex u, Color c, const Vertex*, std::int64_t t) const {
+    if (c == kA0 || c == kA1) return coins_.fair_coin(t, u) ? kA1 : kA0;
+    return coins_.fair_coin(t, u) ? kB : kC;
+  }
+  bool fast_forwardable(Color c, const Vertex* cnt) const {
+    return (c == kA0 || c == kA1) && cnt[0] % 2 == 0;
+  }
+  Color orbit_color(Vertex u, Color c, const Vertex*, std::int64_t entry_round,
+                    std::int64_t now) const {
+    if (now == entry_round) return c;
+    return coins_.fair_coin(now, u) ? kA1 : kA0;
+  }
+
+ private:
+  CoinOracle coins_;
+};
+
+TEST(FastForward, ShardedHeavyRoundsMaterializeParkedVerticesExactly) {
+  static_assert(FastForwardRule<BlinkRule>);
+  // n = 2^16: a third of the graph (B/C vertices re-randomizing) changes
+  // each round, above kHeavyRoundMin.
+  const Graph g = gen::gnp(1 << 16, 8.0 / (1 << 16), 13);
+  const CoinOracle coins(5);
+  std::vector<BlinkRule::Color> init(static_cast<std::size_t>(g.num_vertices()));
+  for (std::size_t u = 0; u < init.size(); ++u)
+    init[u] = u % 3 == 0 ? BlinkRule::kA0 : BlinkRule::kB;
+  using Engine = ProcessEngine<BlinkRule>;
+  Engine ref(g, init, BlinkRule(coins));
+  ref.set_fast_forward(false);
+  Engine seq(g, init, BlinkRule(coins));
+  Engine par(g, init, BlinkRule(coins));
+  par.set_shards(4);
+  for (int r = 1; r <= 20; ++r) {
+    ref.step();
+    seq.step();
+    par.step();
+    // Every round is heavy: about a third of the graph changes.
+    ASSERT_EQ(par.sharded_applies(), r);
+    ASSERT_EQ(par.num_fast_forwarded(), seq.num_fast_forwarded()) << "round " << r;
+    ASSERT_GT(par.num_fast_forwarded(), 0) << "round " << r;
+    for (const Engine* e : {&seq, &par}) {
+      ASSERT_EQ(e->colors(), ref.colors()) << "round " << r;
+      ASSERT_EQ(e->scheduled_set(), ref.scheduled_set()) << "round " << r;
+      for (int c = 0; c < 4; ++c) {
+        const auto color = static_cast<BlinkRule::Color>(c);
+        ASSERT_EQ(e->color_count(color), ref.color_count(color)) << "round " << r;
+      }
+      for (Vertex u = 0; u < g.num_vertices(); ++u) {
+        ASSERT_EQ(e->counter(u, 0), ref.counter(u, 0)) << "round " << r;
+        ASSERT_EQ(e->counter(u, 1), ref.counter(u, 1)) << "round " << r;
       }
     }
   }

@@ -12,13 +12,17 @@
 // runs this suite with SSMIS_TEST_THREADS=4 to race-check the pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/daemon.hpp"
 #include "core/init.hpp"
+#include "core/priority_mis.hpp"
 #include "core/process.hpp"
 #include "core/three_color.hpp"
 #include "core/three_state.hpp"
@@ -223,6 +227,166 @@ TEST(ShardedStepping, ForceColorInterleavedBitIdentical) {
     }
     ASSERT_EQ(seq.colors(), par.colors()) << "round " << r;
   }
+}
+
+// --- sharded apply: full engine state, every rule, every storage ----------
+//
+// Heavy rounds (at least kHeavyRoundMin changes and |changed| *
+// kHeavyRoundRatio >= n) commit, patch and refresh on the pool; light
+// rounds take the serial touched-list path. The complete observable engine
+// state must match a 1-shard engine after every round, across heavy
+// rounds, light rounds, a daemon apply and a burst of force_color faults.
+
+struct ApplyGraph {
+  std::string name;
+  Graph g;
+};
+
+// G(2^17, avg deg 4) — big enough that a uniform-random start changes
+// about n/4 > kHeavyRoundMin colors in round 1 — and the same graph plus a
+// star hub at vertex 0 (its row spans every shard's vertex range), each on
+// plain and compressed storage.
+const std::vector<ApplyGraph>& apply_graphs() {
+  static const std::vector<ApplyGraph> graphs = [] {
+    const Vertex n = 1 << 17;
+    const Graph base = gen::gnp(n, 4.0 / n, 5);
+    std::vector<Edge> edges;
+    for (Vertex u = 0; u < base.num_vertices(); ++u) {
+      base.for_each_neighbor(u, [&](Vertex v) {
+        if (u < v && u != 0) edges.emplace_back(u, v);
+      });
+    }
+    for (Vertex v = 1; v < base.num_vertices(); ++v) edges.emplace_back(0, v);
+    const Graph skewed = Graph::from_edges(base.num_vertices(), edges);
+    std::vector<ApplyGraph> out;
+    out.push_back({"gnp/plain", base});
+    out.push_back({"gnp/compressed", Graph::compress(base)});
+    out.push_back({"hub+gnp/plain", skewed});
+    out.push_back({"hub+gnp/compressed", Graph::compress(skewed)});
+    return out;
+  }();
+  return graphs;
+}
+
+// First difference between two engines' observable state, or "" if none.
+template <typename Rule>
+std::string state_diff(const ProcessEngine<Rule>& a, const ProcessEngine<Rule>& b) {
+  using Color = typename Rule::Color;
+  if (a.num_fast_forwarded() != b.num_fast_forwarded()) return "num_fast_forwarded";
+  // colors() materializes every parked vertex, which makes the raw
+  // counters exact.
+  if (a.colors() != b.colors()) return "colors";
+  if (!std::ranges::equal(a.raw_counters(), b.raw_counters())) return "counters";
+  for (Vertex u = 0; u < a.graph().num_vertices(); ++u) {
+    if (a.scheduled(u) != b.scheduled(u) || a.active(u) != b.active(u) ||
+        a.stable_black(u) != b.stable_black(u) || a.unstable(u) != b.unstable(u)) {
+      std::ostringstream oss;
+      oss << "flags of vertex " << u;
+      return oss.str();
+    }
+  }
+  for (int c = 0; c < a.num_colors(); ++c) {
+    // Exact without another sync: colors() above materialized every orbit.
+    if (a.raw_color_count(static_cast<Color>(c)) != b.raw_color_count(static_cast<Color>(c)))
+      return "histogram";
+  }
+  if (a.scheduled_set() != b.scheduled_set()) return "scheduled_set";
+  if (a.num_active() != b.num_active()) return "num_active";
+  if (a.num_violations() != b.num_violations()) return "num_violations";
+  if (a.num_stable_black() != b.num_stable_black()) return "num_stable_black";
+  if (a.num_unstable() != b.num_unstable()) return "num_unstable";
+  return "";
+}
+
+// Steps a 1-shard and an s-shard engine side by side for 8 rounds and
+// compares their full state after every round. After round 1 both take a
+// daemon apply of the whole scheduled set, and after round 4 a burst of
+// 1024 force_color faults.
+template <typename Rule, typename MakeInit, typename MakeRule>
+void expect_full_state_identical(MakeInit make_init, MakeRule make_rule) {
+  using Color = typename Rule::Color;
+  for (const ApplyGraph& ag : apply_graphs()) {
+    const Graph& g = ag.g;
+    const Vertex n = g.num_vertices();
+    const auto init = make_init(g);
+    for (int shards : {2, env_threads()}) {
+      SCOPED_TRACE(ag.name + " at " + std::to_string(shards) + " shards");
+      ProcessEngine<Rule> seq(g, init, make_rule(g));
+      ProcessEngine<Rule> par(g, init, make_rule(g));
+      par.set_shards(shards);
+      for (int r = 1; r <= 8; ++r) {
+        seq.step();
+        par.step();
+        if (r == 1) {
+          ASSERT_EQ(par.sharded_applies(), 1) << "round 1 was not heavy";
+          ASSERT_EQ(state_diff(seq, par), "") << "round 1";
+          // A daemon apply of the whole scheduled set takes the heavy path
+          // exactly when its change count passes both thresholds.
+          const std::vector<Color> before = seq.colors();
+          const std::vector<Vertex> chosen = seq.scheduled_set();
+          seq.apply_transitions(chosen, 1000);
+          par.apply_transitions(chosen, 1000);
+          const std::vector<Color>& after = seq.colors();
+          std::size_t changed = 0;
+          for (std::size_t u = 0; u < before.size(); ++u)
+            changed += before[u] != after[u] ? 1 : 0;
+          const bool heavy =
+              changed >= ProcessEngine<Rule>::kHeavyRoundMin &&
+              changed * ProcessEngine<Rule>::kHeavyRoundRatio >= before.size();
+          ASSERT_EQ(par.sharded_applies(), heavy ? 2 : 1) << changed << " changes";
+        }
+        if (r == 4) {
+          // Vertex 0 first: on the skewed graph that is the hub.
+          for (Vertex i = 0; i < 1024; ++i) {
+            const Vertex u = static_cast<Vertex>((std::int64_t{i} * 4099) % n);
+            const auto c = static_cast<Color>(static_cast<int>(i) % seq.num_colors());
+            seq.force_color(u, c);
+            par.force_color(u, c);
+          }
+        }
+        ASSERT_EQ(state_diff(seq, par), "") << "round " << r;
+      }
+      EXPECT_EQ(seq.sharded_applies(), 0);
+    }
+  }
+}
+
+TEST(ShardedApply, TwoStateFullStateIdentical) {
+  const CoinOracle coins(61);
+  expect_full_state_identical<TwoStateRule>(
+      [&](const Graph& g) { return make_init2(g, InitPattern::kUniformRandom, coins); },
+      [&](const Graph&) { return TwoStateRule(coins); });
+}
+
+TEST(ShardedApply, TwoStateVariantFullStateIdentical) {
+  const CoinOracle coins(67);
+  expect_full_state_identical<TwoStateVariantRule>(
+      [&](const Graph& g) { return make_init2(g, InitPattern::kUniformRandom, coins); },
+      [&](const Graph&) { return TwoStateVariantRule(coins, 0.25, true); });
+}
+
+TEST(ShardedApply, PriorityFullStateIdentical) {
+  const CoinOracle coins(71);
+  expect_full_state_identical<PriorityMisRule>(
+      [&](const Graph& g) { return make_init2(g, InitPattern::kUniformRandom, coins); },
+      [&](const Graph& g) {
+        return PriorityMisRule(coins,
+                               PriorityMisRule::make_biases(g, "degree", 0.1, 0.9, 3));
+      });
+}
+
+TEST(ShardedApply, ThreeStateFastForwardFullStateIdentical) {
+  const CoinOracle coins(73);
+  expect_full_state_identical<ThreeStateRule>(
+      [&](const Graph& g) { return make_init3(g, InitPattern::kUniformRandom, coins); },
+      [&](const Graph&) { return ThreeStateRule(coins); });
+}
+
+TEST(ShardedApply, ThreeColorLazySwitchFullStateIdentical) {
+  const CoinOracle coins(79);
+  expect_full_state_identical<ThreeColorRule>(
+      [&](const Graph& g) { return make_init_g(g, InitPattern::kUniformRandom, coins); },
+      [&](const Graph& g) { return ThreeColorRule::with_randomized_switch(g, coins); });
 }
 
 // --- harness: batched trial scheduling ------------------------------------

@@ -34,15 +34,21 @@ fingerprint mismatch would catch. Four rules:
       std::size_t, adj_len/payload_bytes/file_bytes/...) must go through the
       checked `ssmis::narrow_cast<T>` (src/support/narrow.hpp) instead.
 
-  R4  decide-phase-shard-discipline
-      The sharded decide phase is only bit-identical because its parallel
-      region is pure: `transition_range` bodies and lambdas handed to
-      `ThreadPool::parallel_for` may write only per-shard state (staged_,
-      shard_changed_, locals), and the rule callbacks the decide phase
-      invokes (transition / scheduled / contribution / fast_forwardable /
-      orbit_color) must be const member functions. Writes to any other
-      `trailing_underscore_` member from those contexts, or a non-const
-      rule callback, are flagged.
+  R4  shard-discipline
+      Sharded stepping is only bit-identical because its parallel regions
+      write nothing shared except through reviewed channels. The regions
+      are the decide kernel (`transition_range`), the apply kernels
+      (`commit_one`, `rederive`), and every lambda handed to
+      `ThreadPool::parallel_for`. A region may write locals, per-shard
+      members (staged_, shard_changed_, shard_apply_), and anything through
+      `std::atomic_ref` (a member inside an atomic_ref(...) is an argument,
+      not an lvalue). Apply regions — the apply kernels and the lambdas
+      inside `apply_sharded` — may also write the disjoint per-vertex slots
+      of R4_DISJOINT_SLOTS. Any other write to a `trailing_underscore_`
+      member there (a plain `counters_[v] +=`, a `worklist_.insert`) is
+      flagged, and so is a non-const definition of a rule callback the
+      parallel phases invoke (transition / scheduled / contribution /
+      active / violating / stable_black / fast_forwardable / orbit_color).
 
 Suppressions: append `// ssmis-lint: allow(R1) reason` (multiple ids:
 `allow(R1,R3)`) to the offending line, or place the comment alone on the
@@ -74,7 +80,7 @@ RULES = {
     "R1": "raw-adjacency-access",
     "R2": "nondeterminism-source",
     "R3": "narrowing-cast",
-    "R4": "decide-phase-shard-discipline",
+    "R4": "shard-discipline",
 }
 
 # R1: files allowed to touch the raw CSR views (the storage internals and
@@ -117,13 +123,30 @@ R3_WIDE_MARKERS = re.compile(
 )
 R3_WIDE_TOKEN_SEQS = ((".", "size", "(", ")"), (".", "tellg", "(", ")"))
 
-# R4: per-shard state the parallel decide region may legitimately write.
-R4_PER_SHARD_MEMBERS = {"staged_", "shard_changed_"}
-# R4: rule callbacks the decide phase invokes — must be const members.
+# R4: per-shard state any parallel region may legitimately write.
+R4_PER_SHARD_MEMBERS = {"staged_", "shard_changed_", "shard_apply_"}
+# R4: kernel functions whose bodies run inside a parallel region.
+R4_DECIDE_KERNELS = ("transition_range",)
+R4_APPLY_KERNELS = ("commit_one", "rederive")
+# R4: functions whose parallel_for lambdas are apply regions.
+R4_APPLY_FUNCTIONS = ("apply_sharded",)
+# R4: shared per-vertex slots an apply region may write, each because every
+# shard writes a disjoint set of them (reviewed; keep this list short).
+R4_DISJOINT_SLOTS = {
+    # commit_one writes colors_[u] for u in its shard's slice of changed_,
+    # which is duplicate-free.
+    "colors_",
+    # rederive writes flags_[v] for v in its shard's own vertex range.
+    "flags_",
+}
+# R4: rule callbacks the parallel phases invoke — must be const members.
 R4_CONST_CALLBACKS = {
     "transition",
     "scheduled",
     "contribution",
+    "active",
+    "violating",
+    "stable_black",
     "fast_forwardable",
     "orbit_color",
 }
@@ -502,7 +525,8 @@ def check_r3(src: SourceFile, rel: str, out: list[Finding]) -> None:
             "release"))
 
 
-def _lambda_body_ranges_of_parallel_for(src: SourceFile) -> list[tuple[int, int]]:
+def _lambda_body_ranges_of_parallel_for(
+        src: SourceFile) -> list[tuple[int, int]]:
     """Token index ranges of lambda bodies passed to parallel_for(...)."""
     toks = src.tokens
     ranges = []
@@ -552,23 +576,41 @@ def _function_body_range(src: SourceFile, name: str) -> list[tuple[int, int]]:
     return ranges
 
 
+def _r4_regions(src: SourceFile) -> list[tuple[int, int, bool]]:
+    """(body start, body end, is_apply_region) of every parallel region."""
+    regions = []
+    for name in R4_DECIDE_KERNELS:
+        regions += [(b, e, False) for (b, e) in _function_body_range(src, name)]
+    for name in R4_APPLY_KERNELS:
+        regions += [(b, e, True) for (b, e) in _function_body_range(src, name)]
+    apply_bodies = [r for name in R4_APPLY_FUNCTIONS
+                    for r in _function_body_range(src, name)]
+    for (b, e) in _lambda_body_ranges_of_parallel_for(src):
+        in_apply = any(ab < b and e < ae for (ab, ae) in apply_bodies)
+        regions.append((b, e, in_apply))
+    return regions
+
+
 def check_r4(src: SourceFile, rel: str, out: list[Finding]) -> None:
     toks = src.tokens
 
-    # (a) Parallel-region write discipline: transition_range bodies and
-    # parallel_for lambdas may write only per-shard members.
-    regions = _function_body_range(src, "transition_range")
-    regions += _lambda_body_ranges_of_parallel_for(src)
-    hint = ("the sharded decide phase must stay pure: stage into per-shard "
-            "state (staged_, shard_changed_, locals) and merge in shard "
-            "order after the join")
-    for (b, e) in regions:
+    # (a) Parallel-region write discipline: kernel bodies and parallel_for
+    # lambdas may write only per-shard members, through atomic_ref, and (in
+    # apply regions) the reviewed disjoint per-vertex slots.
+    hint = ("a parallel region writes only locals, per-shard state "
+            "(staged_, shard_changed_, shard_apply_), std::atomic_ref "
+            "targets and, in apply regions, the disjoint slots of "
+            "R4_DISJOINT_SLOTS; record anything order-sensitive per shard "
+            "and merge it in shard order after the join")
+    for (b, e, is_apply) in _r4_regions(src):
         for i in range(b + 1, e):
             t = toks[i]
             if not t.text.endswith("_") or not re.fullmatch(r"[A-Za-z_]\w*",
                                                             t.text):
                 continue
             if t.text in R4_PER_SHARD_MEMBERS:
+                continue
+            if is_apply and t.text in R4_DISJOINT_SLOTS:
                 continue
             if i > 0 and toks[i - 1].text in (".", "->", "::"):
                 continue  # member of something else
@@ -587,12 +629,14 @@ def check_r4(src: SourceFile, rel: str, out: list[Finding]) -> None:
             if not mutated and nxt == "." and nxt2 in R4_MUTATORS:
                 mutated = True
             if mutated:
+                region = "apply" if is_apply else "decide"
                 out.append(Finding(
                     rel, t.line, "R4",
-                    f"write to non-per-shard engine member `{t.text}` "
-                    "inside the parallel decide region", hint))
+                    f"write to shared engine member `{t.text}` inside a "
+                    f"parallel {region} region", hint))
 
-    # (b) Rule callback constness: decide-path callbacks must be const.
+    # (b) Rule callback constness: callbacks the parallel phases invoke
+    # must be const.
     for name in sorted(R4_CONST_CALLBACKS):
         for i, tok in enumerate(toks):
             if tok.text != name:
@@ -617,11 +661,11 @@ def check_r4(src: SourceFile, rel: str, out: list[Finding]) -> None:
             if "const" not in quals:
                 out.append(Finding(
                     rel, tok.line, "R4",
-                    f"decide-path rule callback `{name}` is not a const "
-                    "member function (the sharded decide phase calls it "
+                    f"rule callback `{name}` is not a const member "
+                    "function (the sharded decide and apply phases call it "
                     "concurrently)",
-                    "declare the callback const; mutable rule state on the "
-                    "decide path breaks shard bit-identity"))
+                    "declare the callback const; mutable rule state on a "
+                    "parallel path breaks shard bit-identity"))
 
 
 # --------------------------------------------------------------------------
