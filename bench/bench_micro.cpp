@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/init.hpp"
+#include "core/phase_clock.hpp"
 #include "core/process.hpp"
 #include "harness/experiment.hpp"
 #include "harness/registry.hpp"
@@ -188,7 +189,8 @@ struct EngineBenchRow {
   std::string process;
   std::string graph;
   std::string phase;  // "full_run", "stabilized_step", "sharded_step",
-                      // "trial_batch", "graph_build", "compressed_codec"
+                      // "trial_batch", "graph_build", "compressed_codec",
+                      // "phase_clock_step"
   Vertex n = 0;
   std::int64_t m = 0;
   bool trace = false;
@@ -470,6 +472,33 @@ void append_compressed_codec_rows(std::vector<EngineBenchRow>& rows) {
   }
 }
 
+// Phase-clock rows: ns/round of the D = 3 clock (the 3-color switch) alone,
+// from uniform-random levels over the rounds a 3-color run on the same
+// graph takes, on the sweep's G(2^14, ln n/n) and on G(2^18, ln n/n). The
+// frontier step's cost tracks |top| + sum deg(changed), not n + m.
+void append_phase_clock_rows(std::vector<EngineBenchRow>& rows) {
+  for (const auto& [log2n, reps] : {std::pair<int, int>{14, 1100},
+                                    std::pair<int, int>{18, 1500}}) {
+    const Vertex n = Vertex{1} << log2n;
+    const double p = std::log(static_cast<double>(n)) / static_cast<double>(n);
+    const Graph g = gen::gnp(n, p, 7);
+    PhaseClock clock = PhaseClock::with_random_levels(g, 3, CoinOracle(1));
+    const auto start = Clock::now();
+    clock.advance(reps);
+    const double ns = elapsed_ns(start);
+    benchmark::DoNotOptimize(clock.level(0));
+    EngineBenchRow row;
+    row.process = "phase_clock";
+    row.graph = "gnp_lnn_n" + std::to_string(n);
+    row.phase = "phase_clock_step";
+    row.n = n;
+    row.m = g.num_edges();
+    row.rounds = reps;
+    row.ns_per_round = ns / static_cast<double>(reps);
+    rows.push_back(row);
+  }
+}
+
 void append_process_rows(std::vector<EngineBenchRow>& rows, const std::string& gname,
                          const Graph& g) {
   const CoinOracle coins(1);
@@ -598,6 +627,8 @@ void write_engine_json(const std::string& path) {
   }
   // Near-stabilized ns/round for every registered protocol (registry path).
   append_protocol_rows(rows);
+  // The 3-color switch's phase clock stepped alone.
+  append_phase_clock_rows(rows);
   // Parallel-runtime rows (sharded stepping + batched trials at 1/2/4/8
   // threads). Interpret speedups against "host_threads" below: on a 1-core
   // host every width measures ~1x by physics, not by design.
@@ -620,7 +651,8 @@ void write_engine_json(const std::string& path) {
   out << "  \"description\": \"per-round stepping cost of the unified sparse "
          "process engine, near-stabilized rows for every registry protocol "
          "(protocol_stabilized_step, fast-forward A/B pairs where the "
-         "protocol declares the knob), parallel-runtime rows (sharded_step "
+         "protocol declares the knob), the 3-color switch's phase clock "
+         "stepped alone (phase_clock_step), parallel-runtime rows (sharded_step "
          "ns/round and trial_batch trials/sec at 1/2/4/8 threads), and "
          "graph-substrate rows (graph_build edges/sec + peak RSS for the "
          "streaming CSR builder and the .ssg save/mmap round-trip), and "

@@ -394,6 +394,9 @@ class ProcessEngine {
   // How many apply passes took the sharded heavy-round path so far (a
   // diagnostic: tests use it to prove the parallel apply really ran).
   [[nodiscard]] std::int64_t sharded_applies() const { return sharded_applies_; }
+  // How many decide passes fanned out over more than one shard so far (the
+  // same kind of diagnostic, for the sharded decide).
+  [[nodiscard]] std::int64_t sharded_decides() const { return sharded_decides_; }
 
   // Fault-injection / test hook: overwrite one vertex's color, keeping every
   // counter, worklist entry, and aggregate consistent in O(deg(u)). Counts
@@ -677,6 +680,7 @@ class ProcessEngine {
       transition_range(items.data(), 0, n, t, changed_);
       return;
     }
+    ++sharded_decides_;
     shard_changed_.resize(static_cast<std::size_t>(s));
     ThreadPool::shared().parallel_for(s, shards_, [&](int i) {
       const std::size_t b = n * static_cast<std::size_t>(i) /
@@ -1186,6 +1190,7 @@ class ProcessEngine {
 
   int shards_ = 1;
   std::int64_t sharded_applies_ = 0;
+  std::int64_t sharded_decides_ = 0;
   std::int64_t round_ = 0;
   int k_ = 0;
   int num_colors_ = 0;

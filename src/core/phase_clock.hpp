@@ -13,6 +13,14 @@
 // *arbitrary unknown* diameter: when diam(G) <= 2 the clock synchronizes and
 // yields both S2 and S3; on larger-diameter graphs only the upper bound S1
 // survives — which is exactly what the 3-color analysis needs.
+//
+// Stepping is frontier-sparse. A non-top vertex's next level is a pure
+// function of the levels in N+(u), so it can move in round t+1 only if it is
+// at the top (it draws the coin) or some vertex of N+(u) moved in round t. A
+// step therefore visits top ∪ N+(changed) and leaves every other level as it
+// is; level-0 vertices are always in the frontier because they just moved
+// there. Construction and force_level mark their vertices changed, so the
+// trajectory is exactly the dense Definition 26 step's.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +34,8 @@ namespace ssmis {
 class PhaseClock {
  public:
   // zeta = zeta_num / 2^zeta_log2_den (the paper uses 1/2^7 = 4/a, a = 512).
-  // Throws std::invalid_argument for d < 1 or malformed zeta or init levels
-  // outside [0, d+2].
+  // Throws std::invalid_argument for d outside [1, 253] (levels are bytes),
+  // malformed zeta, or init levels outside [0, d+2].
   PhaseClock(const Graph& g, int d, std::vector<int> init_levels,
              const CoinOracle& coins, std::uint64_t zeta_num = 1,
              unsigned zeta_log2_den = 7);
@@ -52,19 +60,37 @@ class PhaseClock {
   double zeta() const;
 
   int level(Vertex u) const { return levels_[static_cast<std::size_t>(u)]; }
-  const std::vector<int>& levels() const { return levels_; }
+  std::vector<int> levels() const;
 
-  // Test/fault hook.
+  // Test/fault hook. The vertex counts as changed, so the next step
+  // re-evaluates its closed neighborhood (and u itself, at any level).
   void force_level(Vertex u, int level);
 
  private:
+  // Evaluates u against the current (not yet committed) levels; stages a
+  // change and, when the next level is the top, enrolls u in next_top_.
+  void visit(Vertex u, std::int64_t t);
+
   const Graph* graph_;
   CoinOracle coins_;
   int d_;
   std::uint64_t zeta_num_;
   unsigned zeta_log2_den_;
-  std::vector<int> levels_;
-  std::vector<int> scratch_;
+  std::vector<std::uint8_t> levels_;
+  // Frontier state. top_ holds the vertices the last step left at the top;
+  // dirty_ holds the vertices that changed in the last step or were forced
+  // since (possibly repeated). A forced vertex needs no top_ entry: dirty_
+  // vertices are visited themselves. The first step after construction
+  // visits every vertex (all_dirty_).
+  std::vector<Vertex> top_;
+  std::vector<Vertex> dirty_;
+  std::vector<Vertex> next_top_;
+  std::vector<Vertex> changed_;
+  std::vector<std::uint8_t> changed_level_;
+  // Per-vertex visit epochs: a vertex is visited at most once per step.
+  std::vector<std::uint8_t> mark_;
+  std::uint8_t epoch_ = 0;
+  bool all_dirty_ = true;
   std::int64_t round_ = 0;
 };
 

@@ -93,7 +93,7 @@ class ThreeColorRule {
   //
   // Only gray transitions read sigma, and grays are always scheduled, so
   // while the live worklist is empty no vertex can read the switch: with
-  // fast-forward on (the default) the O(n + m) switch round is deferred in
+  // fast-forward on (the default) the phase-clock switch round is deferred in
   // such quiet rounds and replayed in one batch — bit-identically, the clock
   // being autonomous — before the next non-quiet round decides. Gating on
   // the worklist rather than the gray count alone keeps the deferral from

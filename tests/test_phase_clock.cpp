@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/log_switch.hpp"
 #include "core/phase_clock.hpp"
@@ -56,6 +58,86 @@ TEST(PhaseClock, MatchesReferenceImplementation) {
     clock.step();
     ref = testing::reference_clock_step(g, ref, coins, t, 3);
     ASSERT_EQ(clock.levels(), ref) << "diverged at round " << t;
+  }
+}
+
+// The clock steps only top ∪ N+(changed); the reference evaluates every
+// vertex. Fault bursts at random rounds must put their vertices back into
+// the frontier: forced into and out of the top level, down to level 0, the
+// same vertex forced twice, and a no-op force to the current level. A burst
+// followed by advance(k) checks the batched replay too.
+TEST(PhaseClock, FrontierStepMatchesReferenceUnderFaultBursts) {
+  // The clock steps `stepped`; the reference reads the plain `g`.
+  struct Case {
+    const char* name;
+    Graph g;
+    Graph stepped;
+  };
+  const Graph gnp = gen::gnp(300, 0.02, 5);
+  const Graph sparse = gen::gnp(200, 0.004, 8);
+  const std::vector<Case> cases = {
+      {"gnp", gnp, gnp},
+      {"gnp_compressed", gnp, Graph::compress(gnp)},
+      {"star", gen::star(64), gen::star(64)},
+      {"sparse_with_isolated", sparse, sparse}};
+  bool any_isolated = false;
+  for (Vertex u = 0; u < sparse.num_vertices(); ++u)
+    any_isolated = any_isolated || sparse.degree(u) == 0;
+  ASSERT_TRUE(any_isolated);
+
+  for (const Case& c : cases) {
+    const Graph& g = c.g;
+    const Vertex n = g.num_vertices();
+    for (int d : {1, 2, 3, 6}) {
+      for (unsigned den : {7u, 3u}) {
+        SCOPED_TRACE(std::string(c.name) + " d=" + std::to_string(d) +
+                     " zeta=2^-" + std::to_string(den));
+        const CoinOracle coins(100 + static_cast<std::uint64_t>(d));
+        const CoinOracle faults(200 + den);
+        const int top = d + 2;
+        PhaseClock clock =
+            PhaseClock::with_random_levels(c.stepped, d, coins, 1, den);
+        std::vector<int> ref = clock.levels();
+        const auto force = [&](Vertex u, int lvl) {
+          clock.force_level(u, lvl);
+          ref[static_cast<std::size_t>(u)] = lvl;
+        };
+        const auto pick = [&](std::int64_t t, int i) {
+          return static_cast<Vertex>(
+              faults.word(t, i, CoinTag::kFault) % static_cast<std::uint64_t>(n));
+        };
+        const auto burst = [&](std::int64_t t) {
+          force(pick(t, 0), top);
+          force(pick(t, 1), 0);
+          const Vertex twice = pick(t, 2);
+          force(twice, top);
+          force(twice, 1);
+          const Vertex same = pick(t, 3);
+          force(same, clock.level(same));
+          for (Vertex u = 0; u < n; ++u) {
+            if (clock.level(u) == top) {
+              force(u, top - 1);
+              break;
+            }
+          }
+        };
+        std::int64_t t = 0;
+        for (; t < 300; ++t) {
+          if (faults.bernoulli(t, n, CoinTag::kFault, 0.1)) burst(t);
+          clock.step();
+          ref = testing::reference_clock_step(g, ref, coins, t + 1, d, 1, den);
+          ASSERT_EQ(clock.levels(), ref) << "diverged at round " << t + 1;
+        }
+        burst(t);
+        clock.advance(7);
+        for (int k = 0; k < 7; ++k) {
+          ++t;
+          ref = testing::reference_clock_step(g, ref, coins, t, d, 1, den);
+        }
+        ASSERT_EQ(clock.round(), t);
+        ASSERT_EQ(clock.levels(), ref) << "diverged after advance(7)";
+      }
+    }
   }
 }
 

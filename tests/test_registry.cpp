@@ -15,6 +15,7 @@
 //      workload gets all of this by registering, with zero new test code.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -323,15 +324,23 @@ TEST(Registry, OutputSetsMatchTheProtocolsOwnPredicates) {
   }
 }
 
+// Sharded decides of `p` when it is an EngineProcess<Rule>, else -1.
+template <typename Rule>
+std::int64_t sharded_decides_of(const Process& p) {
+  const auto* e = dynamic_cast<const EngineProcess<Rule>*>(&p);
+  return e == nullptr ? -1 : e->engine().sharded_decides();
+}
+
 TEST(Registry, ShardingIsBitIdenticalForEveryProtocol) {
-  // n = 512 with a dense-enough worklist: unlike the 96-vertex golden
-  // graph, this engages the engine's sharded decide (kShardGrain = 256).
-  // The sharded run additionally steps on COMPRESSED storage, so parallel
-  // stepping through the decode scratch is what is being race- and
-  // bit-checked, not just the sequential path.
-  const Graph g = gen::gnp(512, 0.02, 17);
+  // n = 2048: the early worklists cross 2 * kShardGrain, so the engine's
+  // decide really fans out — asserted for the 2state, 3state and 3color
+  // engines below. The sharded run additionally steps on COMPRESSED
+  // storage, so parallel stepping through the decode scratch is what is
+  // being race- and bit-checked, not just the sequential path.
+  const Graph g = gen::gnp(2048, 0.005, 17);
   const Graph c = Graph::compress(g);
   const ProtocolParams params;
+  int engines_checked = 0;
   for (const std::string& name : ProtocolRegistry::instance().names()) {
     const auto seq = ProtocolRegistry::instance().make(name, g, params, 3);
     const auto par = ProtocolRegistry::instance().make(name, c, params, 3);
@@ -343,7 +352,15 @@ TEST(Registry, ShardingIsBitIdenticalForEveryProtocol) {
         ASSERT_EQ(seq->raw_state(u), par->raw_state(u))
             << name << " diverged at round " << r;
     }
+    std::int64_t decides = -1;
+    if (name == "2state") decides = sharded_decides_of<TwoStateRule>(*par);
+    if (name == "3state") decides = sharded_decides_of<ThreeStateRule>(*par);
+    if (name == "3color") decides = sharded_decides_of<ThreeColorRule>(*par);
+    if (decides == -1) continue;
+    ++engines_checked;
+    EXPECT_GT(decides, 0) << name << " never fanned out its decide";
   }
+  EXPECT_EQ(engines_checked, 3);
 }
 
 TEST(Registry, EveryProtocolRecoversFromInjectedFaults) {
