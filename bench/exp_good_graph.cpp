@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "graph/builder.hpp"
+#include "graph/csr_builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/good_graph.hpp"
 
@@ -67,10 +67,10 @@ int main(int argc, char** argv) {
   // Negative control: a planted dense subgraph must fail P1.
   print_banner(std::cout, "negative control: planted 60-clique in sparse noise");
   {
-    GraphBuilder b(400);
-    for (Vertex i = 0; i < 60; ++i)
-      for (Vertex j = i + 1; j < 60; ++j) b.add_edge(i, j);
-    const Graph planted = std::move(b).build();
+    const Graph planted = CsrBuilder::from_source(400, [](auto&& emit) {
+      for (Vertex i = 0; i < 60; ++i)
+        for (Vertex j = i + 1; j < 60; ++j) emit(i, j);
+    });
     const auto report = check_good_sampled(planted, 0.001, 40, ctx.seed);
     std::cout << "planted clique, p=0.001: " << report.to_string() << "\n";
     std::cout << "(P1 must be 0: the refutation search finds the dense subgraph)\n";

@@ -13,7 +13,7 @@
 #include <iostream>
 
 #include "core/verify.hpp"
-#include "graph/builder.hpp"
+#include "graph/csr_builder.hpp"
 #include "graph/generators.hpp"
 #include "models/mis_automata.hpp"
 #include "models/stone_age.hpp"
@@ -26,16 +26,16 @@ namespace {
 // Torus grid with one diagonal per cell: each cell inhibits 6 neighbors,
 // approximating the hexagonal epithelium packing.
 Graph epithelium(Vertex rows, Vertex cols) {
-  GraphBuilder b(rows * cols);
   auto id = [cols](Vertex r, Vertex c) { return r * cols + c; };
-  for (Vertex r = 0; r < rows; ++r) {
-    for (Vertex c = 0; c < cols; ++c) {
-      b.add_edge(id(r, c), id(r, (c + 1) % cols));
-      b.add_edge(id(r, c), id((r + 1) % rows, c));
-      b.add_edge(id(r, c), id((r + 1) % rows, (c + 1) % cols));
+  return CsrBuilder::from_source(rows * cols, [&](auto&& emit) {
+    for (Vertex r = 0; r < rows; ++r) {
+      for (Vertex c = 0; c < cols; ++c) {
+        emit(id(r, c), id(r, (c + 1) % cols));
+        emit(id(r, c), id((r + 1) % rows, c));
+        emit(id(r, c), id((r + 1) % rows, (c + 1) % cols));
+      }
     }
-  }
-  return std::move(b).build();
+  });
 }
 
 }  // namespace

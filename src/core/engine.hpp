@@ -31,10 +31,10 @@
 // and 28.
 //
 // The same purity makes the whole synchronous round shardable: set_shards(s)
-// fans the decide phase out across the shared worker pool and, in heavy
-// rounds, the apply phase too (commutative atomic counter patches, then a
-// range-scan refresh whose order-sensitive worklist events merge in shard
-// order), keeping trajectories bit-identical at any shard count
+// fans heavy rounds out across the shared worker pool, decide and apply
+// alike (commutative atomic counter patches, then a range-scan refresh whose
+// order-sensitive worklist events merge in shard order), keeping
+// trajectories bit-identical at any shard count; light rounds run inline
 // (docs/architecture.md, "Parallel runtime").
 #pragma once
 
@@ -277,17 +277,17 @@ class ProcessEngine {
   // set, no extra branches in refresh, accessors stay raw).
   static constexpr bool kFastForward = FastForwardRule<Rule>;
   static constexpr int kMaxCounters = 32;
-  // Minimum worklist items a shard must get before fan-out pays for itself.
-  static constexpr std::size_t kShardGrain = 256;
-  // A round is heavy — its apply phase runs sharded — once |changed| *
-  // kHeavyRoundRatio >= n and |changed| >= kHeavyRoundMin. The sharded
-  // refresh scans every vertex's touch mark, which only pays when a sizable
-  // share of the graph was touched; and a heavy round wakes the pool twice
-  // more, which costs more than it saves below about 16k changes (a 2-state
-  // run on G(n, avg deg 8) at 4 shards on a 4-core host lost up to
-  // n = 2^17, about 13k changes per heavy round, and won from n = 2^18).
-  // Lighter rounds keep the sparse touched-list path, so near-stabilized
-  // stepping stays O(|A_t| + sum deg(changed)), flat in n.
+  // The one fan-out gate (heavy()): a pass over m items — a decide's
+  // worklist or daemon choice, an apply's changed list — runs on the pool
+  // over the whole shard budget iff m >= kHeavyRoundMin and
+  // m * kHeavyRoundRatio >= n. The sharded refresh scans every vertex's
+  // touch mark, which only pays when a sizable share of the graph was
+  // touched; and each fan-out wakes the pool, which costs more than it
+  // saves below about 16k items (2-state on G(n, avg deg 8) at 4 shards on
+  // a 4-core host lost up to n = 2^17, about 13k changes per heavy round,
+  // and won from n = 2^18; decide alone on G(16384, 0.002) took 0.057 s
+  // fanned out against 0.0066 s inline). Lighter passes stay inline, so
+  // near-stabilized stepping stays O(|A_t| + sum deg(changed)), flat in n.
   static constexpr std::size_t kHeavyRoundRatio = 64;
   static constexpr std::size_t kHeavyRoundMin = std::size_t{1} << 14;
 
@@ -319,15 +319,14 @@ class ProcessEngine {
   // frozen end-of-round state; counters, worklist, and aggregates are
   // patched in O(|A_t| + sum deg(changed)). Advances round() by one.
   //
-  // With set_shards(s > 1) the decide phase is partitioned into contiguous
+  // With set_shards(s > 1) a heavy decide is partitioned into contiguous
   // slices of the worklist and run on the shared thread pool, and a heavy
-  // round (kHeavyRoundRatio, kHeavyRoundMin) also shards its apply phase (see
-  // apply_sharded). Colors, counters, the scheduled and periodic SETS, and
-  // every aggregate are bit-identical to a sequential run at any shard
-  // count (transitions are pure functions of their arguments and the
-  // counter-based coins; counter patches commute); only the worklist's
-  // internal order differs, and no consumer reads it as an order (see
-  // docs/architecture.md).
+  // apply is sharded too (see kHeavyRoundMin and apply_sharded). Colors,
+  // counters, the scheduled and periodic SETS, and every aggregate are
+  // bit-identical to a sequential run at any shard count (transitions are
+  // pure functions of their arguments and the counter-based coins; counter
+  // patches commute); only the worklist's internal order differs, and no
+  // consumer reads it as an order (see docs/architecture.md).
   void step() {
     const std::int64_t t = round_ + 1;
     if constexpr (RuleHasLazyRounds<Rule>) rule_.begin_round(worklist_.empty());
@@ -374,12 +373,11 @@ class ProcessEngine {
 
   // --- parallelism ---------------------------------------------------------
 
-  // Shards each round across the shared thread pool: the decide phase, and
-  // the apply phase of heavy rounds. `shards` <= 1 (the default) keeps
+  // Shards the heavy decide and apply passes across the shared thread pool
+  // (see kHeavyRoundMin); light passes run sequentially regardless, since
+  // fan-out would cost more than the work. `shards` <= 1 (the default) keeps
   // sequential stepping; any value yields bit-identical trajectories, so
-  // this is purely a throughput knob. Worklists below the per-shard grain
-  // and light rounds run sequentially regardless (fan-out would cost more
-  // than the work).
+  // this is purely a throughput knob.
   void set_shards(int shards) {
     shards_ = shards < 1 ? 1 : shards;
     if (shards_ > 1) ThreadPool::shared().ensure_workers(shards_ - 1);
@@ -668,43 +666,34 @@ class ProcessEngine {
     }
   }
 
+  // Whether a pass over `items` work items fans out (see kHeavyRoundMin).
+  bool heavy(std::size_t items) const {
+    return shards_ > 1 && items >= kHeavyRoundMin &&
+           items * kHeavyRoundRatio >= static_cast<std::size_t>(graph_->num_vertices());
+  }
+
   // Phase 1: compute next colors against the frozen state; stage changes.
-  // Sequential by default; with shards > 1 the index range is cut into
-  // contiguous slices decided in parallel, and the per-shard change lists
-  // are concatenated in shard order — exactly the sequential change order.
+  // Sequential unless heavy; then the index range is cut into contiguous
+  // slices decided in parallel, and the per-shard change lists are
+  // concatenated in shard order — exactly the sequential change order.
   void decide(const std::vector<Vertex>& items, std::int64_t t) {
     changed_.clear();
     const std::size_t n = items.size();
-    const int s = effective_shards(n);
-    if (s <= 1) {
+    if (!heavy(n)) {
       transition_range(items.data(), 0, n, t, changed_);
       return;
     }
     ++sharded_decides_;
-    shard_changed_.resize(static_cast<std::size_t>(s));
-    ThreadPool::shared().parallel_for(s, shards_, [&](int i) {
-      const std::size_t b = n * static_cast<std::size_t>(i) /
-                            static_cast<std::size_t>(s);
-      const std::size_t e = n * (static_cast<std::size_t>(i) + 1) /
-                            static_cast<std::size_t>(s);
-      std::vector<Vertex>& out = shard_changed_[static_cast<std::size_t>(i)];
+    const std::size_t shards = static_cast<std::size_t>(shards_);
+    shard_changed_.resize(shards);
+    ThreadPool::shared().parallel_for(shards_, shards_, [&](int i) {
+      const std::size_t si = static_cast<std::size_t>(i);
+      std::vector<Vertex>& out = shard_changed_[si];
       out.clear();
-      transition_range(items.data(), b, e, t, out);
+      transition_range(items.data(), n * si / shards, n * (si + 1) / shards, t, out);
     });
-    for (int i = 0; i < s; ++i) {
-      const std::vector<Vertex>& part = shard_changed_[static_cast<std::size_t>(i)];
+    for (const std::vector<Vertex>& part : shard_changed_)
       changed_.insert(changed_.end(), part.begin(), part.end());
-    }
-  }
-
-  // How many shards this decide pass actually uses: never more than the
-  // configured budget, and never so many that a shard falls below the grain
-  // (fan-out overhead would dominate the coin flips it buys).
-  int effective_shards(std::size_t items) const {
-    if (shards_ <= 1 || items < 2 * kShardGrain) return 1;
-    const std::size_t cap = items / kShardGrain;
-    return narrow_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(shards_), cap));
   }
 
   // Phase 2: commit staged colors, patch counters of N(changed), and
@@ -717,11 +706,8 @@ class ProcessEngine {
     ++touch_gen_;
     touched_.clear();
     in_apply_ = true;
-    const std::size_t m = changed_.size();
-    const int s = effective_shards(m);
-    if (s > 1 && m >= kHeavyRoundMin &&
-        m * kHeavyRoundRatio >= static_cast<std::size_t>(graph_->num_vertices())) {
-      apply_sharded(s);
+    if (heavy(changed_.size())) {
+      apply_sharded();
     } else {
       DirectSink sink{*this};
       for (Vertex u : changed_) commit_one(u, sink);
@@ -744,12 +730,12 @@ class ProcessEngine {
   // Touched parked vertices skip B: they are queued for the serial
   // materialize/refresh loop in apply(), in shard order, so fast-forward
   // rules keep their exact semantics.
-  void apply_sharded(int s) {
+  void apply_sharded() {
     ++sharded_applies_;
-    const std::size_t shards = static_cast<std::size_t>(s);
+    const std::size_t shards = static_cast<std::size_t>(shards_);
     shard_apply_.resize(shards);
     const std::size_t m = changed_.size();
-    ThreadPool::shared().parallel_for(s, shards_, [&](int i) {
+    ThreadPool::shared().parallel_for(shards_, shards_, [&](int i) {
       const std::size_t si = static_cast<std::size_t>(i);
       ShardApply& out = shard_apply_[si];
       out.reset(num_colors_);
@@ -759,7 +745,7 @@ class ProcessEngine {
       for (std::size_t k = b; k < e; ++k) commit_one(changed_[k], sink);
     });
     const std::size_t n = static_cast<std::size_t>(graph_->num_vertices());
-    ThreadPool::shared().parallel_for(s, shards_, [&](int i) {
+    ThreadPool::shared().parallel_for(shards_, shards_, [&](int i) {
       const std::size_t si = static_cast<std::size_t>(i);
       ShardApply& out = shard_apply_[si];
       ShardSink sink{*this, out, nbr_scratch_[si]};

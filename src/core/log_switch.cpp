@@ -9,18 +9,14 @@ namespace ssmis {
 
 RandomizedLogSwitch::RandomizedLogSwitch(const Graph& g, const CoinOracle& coins,
                                          std::uint64_t zeta_num,
-                                         unsigned zeta_log2_den)
-    : clock_(PhaseClock::with_random_levels(g, 3, coins, zeta_num, zeta_log2_den)) {}
+                                         unsigned zeta_log2_den, int d)
+    : clock_(PhaseClock::with_random_levels(g, d, coins, zeta_num, zeta_log2_den)) {}
 
 RandomizedLogSwitch::RandomizedLogSwitch(const Graph& g, std::vector<int> init_levels,
                                          const CoinOracle& coins,
                                          std::uint64_t zeta_num,
-                                         unsigned zeta_log2_den)
-    : clock_(g, 3, std::move(init_levels), coins, zeta_num, zeta_log2_den) {}
-
-PhaseClockSwitch::PhaseClockSwitch(const Graph& g, int d, const CoinOracle& coins,
-                                   std::uint64_t zeta_num, unsigned zeta_log2_den)
-    : clock_(PhaseClock::with_random_levels(g, d, coins, zeta_num, zeta_log2_den)) {}
+                                         unsigned zeta_log2_den, int d)
+    : clock_(g, d, std::move(init_levels), coins, zeta_num, zeta_log2_den) {}
 
 PeriodicSwitch::PeriodicSwitch(std::int64_t off_len, std::int64_t on_len)
     : off_len_(off_len), on_len_(on_len) {

@@ -8,11 +8,10 @@
 //
 // `SwitchProcess` is the interface consumed by the 3-color MIS process;
 // implementations:
-//   * RandomizedLogSwitch — the paper's construction: a D = 3 phase clock
-//     with levels {0..5}; sigma = on iff level <= 2. Uses 6 states/vertex,
-//     giving the 3-color process its 3 x 6 = 18 total states.
-//   * PhaseClockSwitch — same mapping over an arbitrary-D clock (for the
-//     D = 2 vs 3 ablation). on iff level <= D - 1.
+//   * RandomizedLogSwitch — the paper's construction: a D-diameter phase
+//     clock with levels {0..D+2}; sigma = on iff level <= D - 1. The paper's
+//     D = 3 (the default) uses 6 states/vertex, giving the 3-color process
+//     its 3 x 6 = 18 total states; other D serve the D = 2 vs 3 ablation.
 //   * AlwaysOnSwitch / NeverOnSwitch — degenerate test doubles.
 //   * PeriodicSwitch — deterministic oracle switch (off for `off_len`
 //     rounds, then on for `on_len`), for unit-testing the 3-color color
@@ -54,37 +53,17 @@ class SwitchProcess {
   virtual int num_states() const = 0;
 };
 
-// The paper's randomized logarithmic switch (Definition 26): 6 levels,
-// sigma(u) = on iff level(u) <= 2, zeta = 2^-7 by default (a = 4/zeta = 512).
+// The paper's randomized logarithmic switch (Definition 26): a phase clock
+// of diameter parameter d (the paper's D = 3: 6 levels), sigma(u) = on iff
+// level(u) <= d - 1, zeta = 2^-7 by default (a = 4/zeta = 512).
 class RandomizedLogSwitch final : public SwitchProcess {
  public:
   RandomizedLogSwitch(const Graph& g, const CoinOracle& coins,
-                      std::uint64_t zeta_num = 1, unsigned zeta_log2_den = 7);
+                      std::uint64_t zeta_num = 1, unsigned zeta_log2_den = 7,
+                      int d = 3);
   RandomizedLogSwitch(const Graph& g, std::vector<int> init_levels,
                       const CoinOracle& coins, std::uint64_t zeta_num = 1,
-                      unsigned zeta_log2_den = 7);
-
-  void step() override { clock_.step(); }
-  void advance(std::int64_t rounds) override { clock_.advance(rounds); }
-  bool on(Vertex u) const override { return clock_.level(u) <= 2; }
-  std::int64_t round() const override { return clock_.round(); }
-  int num_states() const override { return clock_.num_states(); }
-
-  PhaseClock& clock() { return clock_; }
-  const PhaseClock& clock() const { return clock_; }
-
-  // The paper's parameter a = 4/zeta for which S1-S3 hold (Lemma 27).
-  double parameter_a() const { return 4.0 / clock_.zeta(); }
-
- private:
-  PhaseClock clock_;
-};
-
-// Arbitrary-D clock with the generalized mapping on iff level <= D-1.
-class PhaseClockSwitch final : public SwitchProcess {
- public:
-  PhaseClockSwitch(const Graph& g, int d, const CoinOracle& coins,
-                   std::uint64_t zeta_num = 1, unsigned zeta_log2_den = 7);
+                      unsigned zeta_log2_den = 7, int d = 3);
 
   void step() override { clock_.step(); }
   void advance(std::int64_t rounds) override { clock_.advance(rounds); }
@@ -93,6 +72,10 @@ class PhaseClockSwitch final : public SwitchProcess {
   int num_states() const override { return clock_.num_states(); }
 
   PhaseClock& clock() { return clock_; }
+  const PhaseClock& clock() const { return clock_; }
+
+  // The paper's parameter a = 4/zeta for which S1-S3 hold (Lemma 27).
+  double parameter_a() const { return 4.0 / clock_.zeta(); }
 
  private:
   PhaseClock clock_;

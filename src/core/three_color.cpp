@@ -20,15 +20,10 @@ ThreeColorRule::ThreeColorRule(const CoinOracle& coins,
 }
 
 void ThreeColorRule::inject_fault(Vertex u, std::uint64_t w) {
-  PhaseClock* clock = nullptr;
-  if (auto* sw = dynamic_cast<RandomizedLogSwitch*>(&switch_process()))
-    clock = &sw->clock();
-  else if (auto* sw = dynamic_cast<PhaseClockSwitch*>(&switch_process()))
-    clock = &sw->clock();
-  if (clock != nullptr) {
-    clock->force_level(u, narrow_cast<int>(
-                              (w >> 8) %
-                              static_cast<std::uint64_t>(clock->num_states())));
+  if (auto* sw = dynamic_cast<RandomizedLogSwitch*>(&switch_process())) {
+    PhaseClock& clock = sw->clock();
+    clock.force_level(u, narrow_cast<int>(
+                             (w >> 8) % static_cast<std::uint64_t>(clock.num_states())));
   }
 }
 
@@ -46,10 +41,10 @@ const ProtocolRegistrar kThreeColorProtocol{
       auto init = make_init_g(g, params.init, coins);
       auto rule =
           params.has("switch-d")
-              ? ThreeColorRule(coins, std::make_unique<PhaseClockSwitch>(
-                                          g, static_cast<int>(params.get_int(
-                                                 "switch-d", 3)),
-                                          coins))
+              ? ThreeColorRule(coins, std::make_unique<RandomizedLogSwitch>(
+                                          g, coins, 1, 7,
+                                          static_cast<int>(params.get_int(
+                                              "switch-d", 3))))
               : ThreeColorRule::with_randomized_switch(g, coins);
       auto p = std::make_unique<EngineProcess<ThreeColorRule>>(
           g, std::move(init), std::move(rule));

@@ -4,7 +4,7 @@
 #include <queue>
 #include <stdexcept>
 
-#include "graph/builder.hpp"
+#include "graph/csr_builder.hpp"
 #include "support/narrow.hpp"
 
 namespace ssmis {
@@ -246,33 +246,33 @@ InducedSubgraph induced_subgraph(const Graph& g, const std::vector<Vertex>& keep
       throw std::invalid_argument("induced_subgraph: duplicate vertex in keep");
     old_to_new[static_cast<std::size_t>(u)] = static_cast<Vertex>(i);
   }
-  GraphBuilder b(narrow_cast<Vertex>(keep.size()));
-  for (Vertex u : keep) {
-    g.for_each_neighbor(u, [&](Vertex v) {
-      const Vertex nv = old_to_new[static_cast<std::size_t>(v)];
-      const Vertex nu = old_to_new[static_cast<std::size_t>(u)];
-      if (nv >= 0 && nu < nv) b.add_edge(nu, nv);
-    });
-  }
-  InducedSubgraph result{std::move(b).build(), keep};
-  return result;
+  Graph sub = CsrBuilder::from_source(narrow_cast<Vertex>(keep.size()), [&](auto&& emit) {
+    for (Vertex u : keep) {
+      g.for_each_neighbor(u, [&](Vertex v) {
+        const Vertex nv = old_to_new[static_cast<std::size_t>(v)];
+        const Vertex nu = old_to_new[static_cast<std::size_t>(u)];
+        if (nv >= 0 && nu < nv) emit(nu, nv);
+      });
+    }
+  });
+  return InducedSubgraph{std::move(sub), keep};
 }
 
 Graph complement(const Graph& g) {
   const Vertex n = g.num_vertices();
   if (n > 4096) throw std::invalid_argument("complement: n too large (O(n^2) result)");
-  GraphBuilder b(n);
   NeighborScratch scratch;
-  for (Vertex u = 0; u < n; ++u) {
-    auto nbrs = g.neighbors(u, scratch);
-    std::size_t i = 0;
-    for (Vertex v = u + 1; v < n; ++v) {
-      while (i < nbrs.size() && nbrs[i] < v) ++i;
-      if (i < nbrs.size() && nbrs[i] == v) continue;
-      b.add_edge(u, v);
+  return CsrBuilder::from_source(n, [&](auto&& emit) {
+    for (Vertex u = 0; u < n; ++u) {
+      auto nbrs = g.neighbors(u, scratch);
+      std::size_t i = 0;
+      for (Vertex v = u + 1; v < n; ++v) {
+        while (i < nbrs.size() && nbrs[i] < v) ++i;
+        if (i < nbrs.size() && nbrs[i] == v) continue;
+        emit(u, v);
+      }
     }
-  }
-  return std::move(b).build();
+  });
 }
 
 std::optional<std::vector<char>> bipartition(const Graph& g) {

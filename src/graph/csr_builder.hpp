@@ -1,7 +1,7 @@
 // Streaming CSR construction: builds a Graph directly from an edge stream in
 // two passes, with no buffered edge list.
 //
-// The classic GraphBuilder materializes a std::vector<Edge> (16 bytes/edge),
+// A buffered builder materializes a std::vector<Edge> (16 bytes/edge),
 // sorts it, and only then lays out the CSR — roughly 3x the final footprint
 // at peak. CsrBuilder instead asks the caller to *replay* its edge stream
 // twice:
@@ -19,9 +19,10 @@
 // The edge source must be *replayable*: invoking it twice must emit the
 // identical multiset of edges. Deterministic generators satisfy this for
 // free by re-seeding their RNG per pass. Self-loops are dropped and
-// endpoints validated exactly like GraphBuilder, and the resulting Graph is
-// byte-identical to the GraphBuilder output for the same edge multiset
-// (rows end up sorted and deduplicated either way).
+// endpoints validated, and the resulting Graph is byte-identical to the
+// buffered sort-and-dedup build of the same edge multiset (rows end up
+// sorted and deduplicated either way; test_csr_builder keeps that buffered
+// build as its reference).
 //
 // Segmented sources. A source may come cut into `segments` independently
 // replayable pieces, `source(segment, emit)` (a plain `source(emit)` is the

@@ -8,7 +8,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "graph/builder.hpp"
 #include "graph/csr_builder.hpp"
 #include "graph/gnp_plan.hpp"
 #include "rng/splitmix64.hpp"
@@ -357,27 +356,27 @@ Graph random_geometric(Vertex n, double radius, std::uint64_t seed) {
   for (Vertex u = 0; u < n; ++u) buckets[bucket_of(u)].push_back(u);
 
   const double r2 = radius * radius;
-  GraphBuilder b(n);
-  for (Vertex u = 0; u < n; ++u) {
-    const std::size_t bu = bucket_of(u);
-    const int cx = narrow_cast<int>(bu / static_cast<std::size_t>(cells));
-    const int cy = narrow_cast<int>(bu % static_cast<std::size_t>(cells));
-    for (int dx = -1; dx <= 1; ++dx) {
-      for (int dy = -1; dy <= 1; ++dy) {
-        const int nx = cx + dx;
-        const int ny = cy + dy;
-        if (nx < 0 || ny < 0 || nx >= cells || ny >= cells) continue;
-        for (Vertex v : buckets[static_cast<std::size_t>(nx) * cells +
-                                static_cast<std::size_t>(ny)]) {
-          if (v <= u) continue;
-          const double ddx = x[static_cast<std::size_t>(u)] - x[static_cast<std::size_t>(v)];
-          const double ddy = y[static_cast<std::size_t>(u)] - y[static_cast<std::size_t>(v)];
-          if (ddx * ddx + ddy * ddy <= r2) b.add_edge(u, v);
+  return CsrBuilder::from_source(n, [&](auto&& emit) {
+    for (Vertex u = 0; u < n; ++u) {
+      const std::size_t bu = bucket_of(u);
+      const int cx = narrow_cast<int>(bu / static_cast<std::size_t>(cells));
+      const int cy = narrow_cast<int>(bu % static_cast<std::size_t>(cells));
+      for (int dx = -1; dx <= 1; ++dx) {
+        for (int dy = -1; dy <= 1; ++dy) {
+          const int nx = cx + dx;
+          const int ny = cy + dy;
+          if (nx < 0 || ny < 0 || nx >= cells || ny >= cells) continue;
+          for (Vertex v : buckets[static_cast<std::size_t>(nx) * cells +
+                                  static_cast<std::size_t>(ny)]) {
+            if (v <= u) continue;
+            const double ddx = x[static_cast<std::size_t>(u)] - x[static_cast<std::size_t>(v)];
+            const double ddy = y[static_cast<std::size_t>(u)] - y[static_cast<std::size_t>(v)];
+            if (ddx * ddx + ddy * ddy <= r2) emit(u, v);
+          }
         }
       }
     }
-  }
-  return std::move(b).build();
+  });
 }
 
 Graph small_world(Vertex n, int k, double beta, std::uint64_t seed) {
@@ -412,9 +411,7 @@ Graph small_world(Vertex n, int k, double beta, std::uint64_t seed) {
       rewired.push_back(e);
     }
   }
-  GraphBuilder b(n);
-  for (const auto& [u, v] : rewired) b.add_edge(u, v);
-  return std::move(b).build();
+  return Graph::from_edges(n, rewired);
 }
 
 }  // namespace gen

@@ -4,7 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "graph/builder.hpp"
+#include "graph/csr_builder.hpp"
 
 namespace ssmis {
 
@@ -86,9 +86,9 @@ Graph Graph::from_external_compressed(Vertex n, std::int64_t adj_len,
 }
 
 Graph Graph::from_edges(Vertex n, std::span<const Edge> edges) {
-  GraphBuilder builder(n);
-  for (const auto& [u, v] : edges) builder.add_edge(u, v);
-  return builder.build();
+  return CsrBuilder::from_source(n, [edges](auto&& emit) {
+    for (const auto& [u, v] : edges) emit(u, v);
+  });
 }
 
 Graph Graph::from_edges(Vertex n, std::initializer_list<Edge> edges) {

@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "graph/builder.hpp"
-
 namespace ssmis {
 namespace io {
 
@@ -20,8 +18,7 @@ Graph read_edge_list(std::istream& is) {
   std::string line;
   Vertex n = -1;
   std::int64_t m = -1;
-  std::int64_t seen = 0;
-  GraphBuilder builder(0);
+  std::vector<Edge> edges;
   bool have_header = false;
   while (std::getline(is, line)) {
     if (line.empty() || line[0] == '#') continue;
@@ -29,18 +26,16 @@ Graph read_edge_list(std::istream& is) {
     if (!have_header) {
       if (!(ls >> n >> m) || n < 0 || m < 0)
         throw std::runtime_error("read_edge_list: malformed header");
-      builder = GraphBuilder(n);
       have_header = true;
       continue;
     }
     Vertex u, v;
     if (!(ls >> u >> v)) throw std::runtime_error("read_edge_list: malformed edge line");
-    builder.add_edge(u, v);
-    ++seen;
+    edges.emplace_back(u, v);
   }
   if (!have_header) throw std::runtime_error("read_edge_list: missing header");
-  if (seen != m) throw std::runtime_error("read_edge_list: edge count mismatch");
-  return std::move(builder).build();
+  if (std::ssize(edges) != m) throw std::runtime_error("read_edge_list: edge count mismatch");
+  return Graph::from_edges(n, edges);
 }
 
 void write_dot(std::ostream& os, const Graph& g, const std::vector<Vertex>& highlight) {

@@ -219,6 +219,35 @@ void validate_codec(const std::string& path, Fn&& fn) {
   }
 }
 
+// Everything checked after a v1 header, on the loaded or mapped sections:
+// offsets, then under kFull the checksum and the row audit.
+void validate_csr_sections(const std::string& path, const SsgHeader& h,
+                           const std::int64_t* offsets, const Vertex* adj,
+                           SsgValidation validation) {
+  validate_offsets(path, h.n, h.adj_len, offsets);
+  if (validation != SsgValidation::kFull) return;
+  if (payload_checksum(h.n, h.adj_len, offsets, adj) != h.checksum)
+    fail(path, "checksum mismatch (corrupted file)");
+  validate_adjacency(path, h.n, offsets, adj);
+}
+
+// Everything checked after a v2 header, on the loaded or mapped sections
+// (`entries` index words, then h.payload_bytes of payload): the superblock
+// index, then under kFull the checksum and the payload audit.
+void validate_compressed_sections(const std::string& path, const SsgHeader& h,
+                                  const std::uint64_t* index, std::size_t entries,
+                                  const std::uint8_t* payload,
+                                  SsgValidation validation) {
+  const auto payload_bytes = static_cast<std::size_t>(h.payload_bytes);
+  validate_codec(path, [&] { validate_compressed_index(h.n, index, payload_bytes); });
+  if (validation != SsgValidation::kFull) return;
+  if (compressed_checksum(h, index, entries, payload) != h.checksum)
+    fail(path, "checksum mismatch (corrupted file)");
+  validate_codec(path, [&] {
+    validate_compressed_payload(h.n, h.adj_len, index, payload, payload_bytes);
+  });
+}
+
 // Scratch-file + atomic-rename writer shared by both formats: the replace
 // is atomic (no half-written .ssg visible at `path`), saving over the very
 // file a Graph is mmap'd from cannot truncate the live mapping (the old
@@ -339,18 +368,8 @@ Graph load_ssg(const std::string& path, SsgValidation validation) {
     in.read(reinterpret_cast<char*>(payload.data()),
             static_cast<std::streamsize>(payload.size()));
     if (!in) fail(path, "read failed");
-    validate_codec(path, [&] {
-      validate_compressed_index(h.n, index.data(), payload.size());
-    });
-    if (validation == SsgValidation::kFull) {
-      if (compressed_checksum(h, index.data(), index.size(), payload.data()) !=
-          h.checksum)
-        fail(path, "checksum mismatch (corrupted file)");
-      validate_codec(path, [&] {
-        validate_compressed_payload(h.n, h.adj_len, index.data(), payload.data(),
-                                    payload.size());
-      });
-    }
+    validate_compressed_sections(path, h, index.data(), entries, payload.data(),
+                                 validation);
     return Graph::from_compressed(narrow_cast<Vertex>(h.n), h.adj_len,
                                   std::move(index), std::move(payload));
   }
@@ -363,12 +382,7 @@ Graph load_ssg(const std::string& path, SsgValidation validation) {
   in.read(reinterpret_cast<char*>(adj.data()),
           static_cast<std::streamsize>(adj.size() * sizeof(Vertex)));
   if (!in) fail(path, "read failed");
-  validate_offsets(path, h.n, h.adj_len, offsets.data());
-  if (validation == SsgValidation::kFull) {
-    if (payload_checksum(h.n, h.adj_len, offsets.data(), adj.data()) != h.checksum)
-      fail(path, "checksum mismatch (corrupted file)");
-    validate_adjacency(path, h.n, offsets.data(), adj.data());
-  }
+  validate_csr_sections(path, h, offsets.data(), adj.data(), validation);
   return Graph::from_owned_csr(narrow_cast<Vertex>(h.n), std::move(offsets),
                                std::move(adj));
 }
@@ -405,18 +419,7 @@ Graph mmap_ssg(const std::string& path, SsgValidation validation) {
     const auto* index =
         reinterpret_cast<const std::uint64_t*>(bytes + kSsgHeaderBytes);
     const auto* payload = bytes + kSsgHeaderBytes + entries * 8;
-    validate_codec(path, [&] {
-      validate_compressed_index(h.n, index,
-                                static_cast<std::size_t>(h.payload_bytes));
-    });
-    if (validation == SsgValidation::kFull) {
-      if (compressed_checksum(h, index, entries, payload) != h.checksum)
-        fail(path, "checksum mismatch (corrupted file)");
-      validate_codec(path, [&] {
-        validate_compressed_payload(h.n, h.adj_len, index, payload,
-                                    static_cast<std::size_t>(h.payload_bytes));
-      });
-    }
+    validate_compressed_sections(path, h, index, entries, payload, validation);
     return Graph::from_external_compressed(
         narrow_cast<Vertex>(h.n), h.adj_len, index, payload,
         static_cast<std::size_t>(h.payload_bytes), std::move(region));
@@ -427,12 +430,7 @@ Graph mmap_ssg(const std::string& path, SsgValidation validation) {
       reinterpret_cast<const std::int64_t*>(bytes + kSsgHeaderBytes);
   const auto* adj = reinterpret_cast<const Vertex*>(
       bytes + kSsgHeaderBytes + 8 * (static_cast<std::size_t>(h.n) + 1));
-  validate_offsets(path, h.n, h.adj_len, offsets);
-  if (validation == SsgValidation::kFull) {
-    if (payload_checksum(h.n, h.adj_len, offsets, adj) != h.checksum)
-      fail(path, "checksum mismatch (corrupted file)");
-    validate_adjacency(path, h.n, offsets, adj);
-  }
+  validate_csr_sections(path, h, offsets, adj, validation);
   return Graph::from_external_csr(narrow_cast<Vertex>(h.n), offsets, adj,
                                   static_cast<std::size_t>(h.adj_len),
                                   std::move(region));

@@ -6,13 +6,51 @@
 #include <stdexcept>
 #include <vector>
 
-#include "graph/builder.hpp"
 #include "graph/csr_builder.hpp"
 #include "graph/gnp_plan.hpp"
 #include "rng/xoshiro256.hpp"
 
 namespace ssmis {
 namespace {
+
+// The buffered reference the streaming builder must match: collect the
+// edges, sort and deduplicate them, then lay out the CSR. Self-loops are
+// dropped.
+class GraphBuilder {
+ public:
+  explicit GraphBuilder(Vertex n) : n_(n) {}
+
+  void add_edge(Vertex u, Vertex v) {
+    if (u == v) return;
+    edges_.emplace_back(std::min(u, v), std::max(u, v));
+  }
+
+  Graph build() && {
+    std::sort(edges_.begin(), edges_.end());
+    edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
+    std::vector<std::int64_t> offsets(static_cast<std::size_t>(n_) + 1, 0);
+    for (const auto& [u, v] : edges_) {
+      ++offsets[static_cast<std::size_t>(u) + 1];
+      ++offsets[static_cast<std::size_t>(v) + 1];
+    }
+    for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
+    std::vector<Vertex> adj(static_cast<std::size_t>(offsets.back()));
+    std::vector<std::int64_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (const auto& [u, v] : edges_) {
+      adj[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] = v;
+      adj[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] = u;
+    }
+    for (Vertex u = 0; u < n_; ++u) {
+      std::sort(adj.begin() + offsets[static_cast<std::size_t>(u)],
+                adj.begin() + offsets[static_cast<std::size_t>(u) + 1]);
+    }
+    return Graph::from_owned_csr(n_, std::move(offsets), std::move(adj));
+  }
+
+ private:
+  Vertex n_;
+  std::vector<Edge> edges_;
+};
 
 // Replays a fixed edge list (the canonical replayable source).
 auto list_source(const std::vector<Edge>& edges) {

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "graph/builder.hpp"
+#include "graph/csr_builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/good_graph.hpp"
 
@@ -138,10 +138,10 @@ TEST(GoodGraph, SampledCheckRefutesP1OnPlantedClique) {
   // A clique of size 60 inside an otherwise empty graph of 300 vertices:
   // the degree-ordered prefix candidate finds the dense subgraph and P1
   // fails for small p.
-  GraphBuilder b(300);
-  for (Vertex i = 0; i < 60; ++i)
-    for (Vertex j = i + 1; j < 60; ++j) b.add_edge(i, j);
-  const Graph g = std::move(b).build();
+  const Graph g = CsrBuilder::from_source(300, [](auto&& emit) {
+    for (Vertex i = 0; i < 60; ++i)
+      for (Vertex j = i + 1; j < 60; ++j) emit(i, j);
+  });
   const auto report = check_good_sampled(g, 0.001, 40, 5);
   EXPECT_FALSE(report.p1);
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "graph/builder.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
 
@@ -89,28 +88,6 @@ TEST(Graph, SummaryMentionsCounts) {
   const std::string s = g.summary();
   EXPECT_NE(s.find("n=4"), std::string::npos);
   EXPECT_NE(s.find("m=2"), std::string::npos);
-}
-
-TEST(GraphBuilder, NegativeSizeThrows) {
-  EXPECT_THROW(GraphBuilder(-1), std::invalid_argument);
-}
-
-TEST(GraphBuilder, NonDestructiveBuild) {
-  GraphBuilder b(3);
-  b.add_edge(0, 1);
-  const Graph g1 = b.build();
-  b.add_edge(1, 2);
-  const Graph g2 = b.build();
-  EXPECT_EQ(g1.num_edges(), 1);
-  EXPECT_EQ(g2.num_edges(), 2);
-}
-
-TEST(GraphBuilder, RecordsEdgeCountBeforeDedup) {
-  GraphBuilder b(3);
-  b.add_edge(0, 1);
-  b.add_edge(1, 0);
-  EXPECT_EQ(b.num_recorded_edges(), 2u);
-  EXPECT_EQ(std::move(b).build().num_edges(), 1);
 }
 
 TEST(GraphIo, EdgeListRoundTrip) {

@@ -279,7 +279,7 @@ TEST(DegenerateSwitches, AlwaysAndNever) {
 
 TEST(PhaseClockSwitch, GeneralizedMapping) {
   const Graph g = gen::path(2);
-  PhaseClockSwitch sw(g, 2, CoinOracle(1));
+  RandomizedLogSwitch sw(g, CoinOracle(1), 1, 7, 2);
   EXPECT_EQ(sw.num_states(), 5);
   sw.clock().force_level(0, 1);
   sw.clock().force_level(1, 2);

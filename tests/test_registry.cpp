@@ -22,11 +22,15 @@
 #include <utility>
 #include <vector>
 
+#include "core/daemon.hpp"
 #include "core/init.hpp"
+#include "core/matching.hpp"
+#include "core/priority_mis.hpp"
 #include "core/process.hpp"
 #include "core/three_color.hpp"
 #include "core/three_state.hpp"
 #include "core/two_state.hpp"
+#include "core/two_state_variant.hpp"
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
 #include "graph/ssg.hpp"
@@ -47,9 +51,8 @@ namespace {
 std::uint64_t trajectory_fingerprint(const std::string& name,
                                      const ProtocolParams& params,
                                      const Graph& g, std::uint64_t seed,
-                                     int steps, int shards = 1) {
+                                     int steps) {
   const auto process = ProtocolRegistry::instance().make(name, g, params, seed);
-  if (shards > 1) process->set_shards(shards);
   std::uint64_t h = kFnv1aBasis;
   const auto fold = [&] {
     for (Vertex u = 0; u < g.num_vertices(); ++u) {
@@ -181,9 +184,10 @@ TEST(Registry, CrossRepresentationStorageKeepsTheGoldens) {
 
 // Table-driven over every registered protocol — current and future: each
 // one must produce the identical trajectory on plain, mmap'd-v1,
-// compressed, and mmap'd-v2 storage of the same graph, sequential and
-// sharded. A new workload gets this proof by registering, with zero new
-// test code.
+// compressed, and mmap'd-v2 storage of the same graph. A new workload gets
+// this proof by registering, with zero new test code. (The golden graph is
+// far below the engine's fan-out floor; ShardingIsBitIdenticalForEveryProtocol
+// below steps compressed storage sharded.)
 TEST(Registry, CrossRepresentationBitIdentityForEveryProtocol) {
   const auto storages = golden_graph_storages();
   const ProtocolParams none;
@@ -191,13 +195,8 @@ TEST(Registry, CrossRepresentationBitIdentityForEveryProtocol) {
     const std::uint64_t baseline =
         trajectory_fingerprint(name, none, storages.front().graph, 42, 48);
     for (const StorageCase& storage : storages) {
-      for (const int shards : {1, 4}) {
-        ASSERT_EQ(trajectory_fingerprint(name, none, storage.graph, 42, 48,
-                                         shards),
-                  baseline)
-            << name << " diverged on " << storage.name << " at " << shards
-            << " shard(s)";
-      }
+      ASSERT_EQ(trajectory_fingerprint(name, none, storage.graph, 42, 48), baseline)
+          << name << " diverged on " << storage.name;
     }
   }
 }
@@ -324,20 +323,36 @@ TEST(Registry, OutputSetsMatchTheProtocolsOwnPredicates) {
   }
 }
 
-// Sharded decides of `p` when it is an EngineProcess<Rule>, else -1.
-template <typename Rule>
-std::int64_t sharded_decides_of(const Process& p) {
-  const auto* e = dynamic_cast<const EngineProcess<Rule>*>(&p);
-  return e == nullptr ? -1 : e->engine().sharded_decides();
+// How often an engine fanned out: sharded decide and apply passes.
+struct FanOut {
+  std::int64_t decides = -1;
+  std::int64_t applies = -1;
+};
+
+// The fan-out counts of `p`'s engine when `p` is one of the process types
+// `Ps`, else {-1, -1} (the network processes are private to their
+// translation unit).
+template <typename... Ps>
+FanOut fan_out_of(const Process& p) {
+  FanOut out;
+  const auto read = [&](const auto* q) {
+    if (q == nullptr) return false;
+    out = {q->engine().sharded_decides(), q->engine().sharded_applies()};
+    return true;
+  };
+  static_cast<void>((read(dynamic_cast<const Ps*>(&p)) || ...));
+  return out;
 }
 
 TEST(Registry, ShardingIsBitIdenticalForEveryProtocol) {
-  // n = 2048: the early worklists cross 2 * kShardGrain, so the engine's
-  // decide really fans out — asserted for the 2state, 3state and 3color
-  // engines below. The sharded run additionally steps on COMPRESSED
-  // storage, so parallel stepping through the decode scratch is what is
-  // being race- and bit-checked, not just the sequential path.
-  const Graph g = gen::gnp(2048, 0.005, 17);
+  // G(2^17, avg deg 4): a uniform-random start schedules about half the
+  // vertices and (2state) changes about a quarter, above the engine's
+  // fan-out floor (kHeavyRoundMin = 2^14), so the early rounds run on the
+  // pool — asserted below for every engine this test can reach. The sharded run additionally steps on COMPRESSED storage, so
+  // parallel stepping through the decode scratch is what is being race-
+  // and bit-checked, not just the sequential path.
+  const Vertex n = 1 << 17;
+  const Graph g = gen::gnp(n, 4.0 / n, 17);
   const Graph c = Graph::compress(g);
   const ProtocolParams params;
   int engines_checked = 0;
@@ -352,15 +367,16 @@ TEST(Registry, ShardingIsBitIdenticalForEveryProtocol) {
         ASSERT_EQ(seq->raw_state(u), par->raw_state(u))
             << name << " diverged at round " << r;
     }
-    std::int64_t decides = -1;
-    if (name == "2state") decides = sharded_decides_of<TwoStateRule>(*par);
-    if (name == "3state") decides = sharded_decides_of<ThreeStateRule>(*par);
-    if (name == "3color") decides = sharded_decides_of<ThreeColorRule>(*par);
-    if (decides == -1) continue;
+    const FanOut f =
+        fan_out_of<EngineProcess<TwoStateRule>, EngineProcess<TwoStateVariantRule>,
+                   EngineProcess<PriorityMisRule>, EngineProcess<ThreeStateRule>,
+                   EngineProcess<ThreeColorRule>, DaemonProcess, MatchingProcess>(*par);
+    if (f.decides == -1) continue;
     ++engines_checked;
-    EXPECT_GT(decides, 0) << name << " never fanned out its decide";
+    EXPECT_GT(f.decides, 0) << name << " never fanned out its decide";
+    EXPECT_GT(f.applies, 0) << name << " never fanned out its apply";
   }
-  EXPECT_EQ(engines_checked, 3);
+  EXPECT_EQ(engines_checked, 7);
 }
 
 TEST(Registry, EveryProtocolRecoversFromInjectedFaults) {

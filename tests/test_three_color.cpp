@@ -245,9 +245,8 @@ TEST(ThreeColor, InjectFaultCorruptsSwitchLevel) {
       p->step();
     ASSERT_GT(proc->engine().rule().deferred_switch_rounds(), 0);
     auto clock = [&]() -> PhaseClock& {
-      SwitchProcess& sw = proc->engine().rule().switch_process();
-      if (auto* r = dynamic_cast<RandomizedLogSwitch*>(&sw)) return r->clock();
-      return dynamic_cast<PhaseClockSwitch&>(sw).clock();
+      return dynamic_cast<RandomizedLogSwitch&>(proc->engine().rule().switch_process())
+          .clock();
     };
     const int num_states = clock().num_states();
     for (Vertex u = 0; u < g.num_vertices(); ++u) {
